@@ -1,18 +1,22 @@
-"""Minimal reverse-mode autodiff over dense float64 matrices.
+"""Minimal reverse-mode autodiff over dense float64 arrays.
 
-Everything is a 2-D matrix: vectors are 1 x n rows, scalars are 1 x 1.
-Operations record backward closures on a ``Tape``; ``Tape.backward`` replays
-them in reverse execution order, which makes repeated backward passes over
-the same forward computation bitwise identical.
+A tensor is a 2-D matrix (vectors are 1 x n rows, scalars are 1 x 1), a
+1-D column holding one value per trial, or a stack of matrices with a
+leading batch axis. Operations record backward closures on a ``Tape``;
+``Tape.backward`` replays them in reverse execution order, which makes
+repeated backward passes over the same forward computation bitwise
+identical.
 
-Not a general autodiff library: no broadcasting, no views, no higher-order
-gradients. Matrices are immutable values as far as the ops are concerned and
-are safe to share across threads for read-only scoring.
+Broadcasting follows numpy in the elementwise ops and in ``matmul``'s
+batch axes, with one addition: a 1 x 1 tensor acts as a scalar against any
+shape. Every gradient is summed back to its operand's shape.
+
+Not a general autodiff library: no views, no higher-order gradients.
+Arrays are immutable values as far as the ops are concerned and are safe
+to share across threads for read-only scoring.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -29,19 +33,19 @@ class TrackingError(RuntimeError):
     """backward() was called on a value that is not on the tape."""
 
 
-def _as_matrix(value) -> np.ndarray:
+def _as_array(value) -> np.ndarray:
     a = np.asarray(value, dtype=np.float64)
     if a.ndim == 0:
         a = a.reshape(1, 1)
     elif a.ndim == 1:
         a = a.reshape(1, -1)
-    elif a.ndim != 2:
-        raise ShapeError(f"expected scalar, vector or matrix, got ndim={a.ndim}")
+    elif a.ndim > 3:
+        raise ShapeError(f"expected scalar, vector, matrix or stack, got ndim={a.ndim}")
     return np.ascontiguousarray(a)
 
 
 class Tensor:
-    """A float64 matrix, optionally tracked on a tape.
+    """A float64 array, optionally tracked on a tape.
 
     ``grad`` is populated by ``Tape.backward`` and mirrors ``value``'s shape.
     """
@@ -49,34 +53,22 @@ class Tensor:
     __slots__ = ("value", "grad", "tape")
 
     def __init__(self, value, tape: "Tape | None" = None):
-        self.value = _as_matrix(value)
+        self.value = _as_array(value)
         self.grad: np.ndarray | None = None
         self.tape = tape
 
     @property
-    def rows(self) -> int:
-        return self.value.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.value.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
+    def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
     def item(self) -> float:
-        if self.value.shape != (1, 1):
-            raise ShapeError(f"item() requires a 1x1 tensor, got {self.value.shape}")
-        return float(self.value[0, 0])
+        if self.value.size != 1:
+            raise ShapeError(f"item() requires a single value, got shape {self.value.shape}")
+        return float(self.value.reshape(-1)[0])
 
     def detach(self) -> "Tensor":
         """Untracked view sharing the same underlying array."""
-        t = Tensor.__new__(Tensor)
-        t.value = self.value
-        t.grad = None
-        t.tape = None
-        return t
+        return _make(self.value, None)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.value.shape}, tracked={self.tape is not None})"
@@ -116,13 +108,13 @@ class Tape:
         """
         if loss.tape is not self:
             raise TrackingError("loss is not tracked on this tape")
-        if loss.shape != (1, 1):
-            raise ShapeError(f"loss must be 1x1, got {loss.shape}")
+        if loss.value.size != 1:
+            raise ShapeError(f"loss must be a single value, got shape {loss.shape}")
         for p in self._params:
             p.grad = np.zeros_like(p.value)
         for out, _ in self._records:
             out.grad = None
-        loss.grad = np.ones((1, 1))
+        loss.grad = np.ones_like(loss.value)
         for out, backward_fn in reversed(self._records):
             if out.grad is None:
                 continue  # nothing downstream consumed this value
@@ -139,13 +131,21 @@ def _result_tape(*tensors: Tensor) -> Tape | None:
     return tape
 
 
+def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum a broadcast gradient back down to an operand's shape."""
+    if shape == (1, 1):
+        return np.full((1, 1), g.sum())
+    if g.ndim > len(shape):
+        g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if t.tape is None:
-        return
-    if t.grad is None:
-        t.grad = g.copy()
-    else:
-        t.grad += g
+    # gradient arrays are never written in place, so g may be shared as is
+    if g.shape != t.value.shape:
+        g = _sum_to(g, t.value.shape)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(value: np.ndarray, tape: Tape | None) -> Tensor:
@@ -156,121 +156,103 @@ def _make(value: np.ndarray, tape: Tape | None) -> Tensor:
     return out
 
 
-def _require_same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
+def _op(value: np.ndarray, *inputs) -> Tensor:
+    """Wrap an op's value; inputs are (tensor, grad_fn) pairs.
+
+    When any input is tracked, the result is recorded with a backward that
+    adds grad_fn(g) to each tracked input, in input order. Untracked inputs
+    (embeddings, constants) never have their gradient computed.
+    """
+    tape = _result_tape(*(t for t, _ in inputs))
+    out = _make(value, tape)
+    if tape is not None:
+        def backward(g):
+            for t, grad_fn in inputs:
+                if t.tape is not None:
+                    _accumulate(t, grad_fn(g))
+        tape._record(out, backward)
+    return out
+
+
+def _operands(a: Tensor, b: Tensor, op: str) -> tuple[np.ndarray, np.ndarray]:
+    """Values of a binary elementwise op; a 1 x 1 operand acts as a scalar."""
+    x, y = a.value, b.value
+    if x.shape == (1, 1) and y.shape != (1, 1):
+        x = x.reshape(())
+    elif y.shape == (1, 1) and x.shape != (1, 1):
+        y = y.reshape(())
+    try:
+        np.broadcast_shapes(x.shape, y.shape)
+    except ValueError:
+        raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
+    return x, y
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "add")
-    tape = _result_tape(a, b)
-    out = _make(a.value + b.value, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-        tape._record(out, backward)
-    return out
+    x, y = _operands(a, b, "add")
+    return _op(x + y, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-    tape = _result_tape(a, b)
-    out = _make(a.value - b.value, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(b, -g)
-        tape._record(out, backward)
-    return out
+    x, y = _operands(a, b, "sub")
+    return _op(x - y, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    _require_same_shape(a, b, "mul")
-    tape = _result_tape(a, b)
-    out = _make(a.value * b.value, tape)
-    if tape is not None:
-        av, bv = a.value, b.value
-        def backward(g):
-            _accumulate(a, g * bv)
-            _accumulate(b, g * av)
-        tape._record(out, backward)
-    return out
+    """Elementwise product."""
+    x, y = _operands(a, b, "mul")
+    return _op(x * y, (a, lambda g: g * y), (b, lambda g: g * x))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise quotient of same-shape tensors; b must be nonzero."""
-    _require_same_shape(a, b, "div")
-    tape = _result_tape(a, b)
-    out = _make(a.value / b.value, tape)
-    if tape is not None:
-        av, bv = a.value, b.value
-        def backward(g):
-            _accumulate(a, g / bv)
-            _accumulate(b, -g * av / (bv * bv))
-        tape._record(out, backward)
-    return out
+    """Elementwise quotient; b must be nonzero."""
+    x, y = _operands(a, b, "div")
+    return _op(x / y, (a, lambda g: g / y), (b, lambda g: -g * x / (y * y)))
 
 
-def affine(a: Tensor, scale: float, shift: float = 0.0) -> Tensor:
-    """scale * a + shift with python-float constants."""
-    tape = _result_tape(a)
-    out = _make(scale * a.value + shift, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, scale * g)
-        tape._record(out, backward)
-    return out
+def affine(a: Tensor, scale, shift=0.0) -> Tensor:
+    """scale * a + shift with constant scale and shift (floats or arrays
+    that broadcast to a's shape)."""
+    return _op(scale * a.value + shift, (a, lambda g: scale * g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.cols != b.rows:
+    """Matrix product over the last two axes, broadcasting any batch axis.
+
+    A stack times a plain matrix runs as one 2-D product over all rows.
+    """
+    if a.value.ndim < 2 or b.value.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul: inner dimensions differ, {a.shape} x {b.shape}")
-    tape = _result_tape(a, b)
-    out = _make(a.value @ b.value, tape)
-    if tape is not None:
-        av, bv = a.value, b.value
-        def backward(g):
-            _accumulate(a, g @ bv.T)
-            _accumulate(b, av.T @ g)
-        tape._record(out, backward)
-    return out
+    av, bv = a.value, b.value
+    if bv.ndim == 2:
+        a2 = av.reshape(-1, av.shape[-1])
+
+        def rows(g):
+            return g.reshape(-1, g.shape[-1])
+        return _op((a2 @ bv).reshape(av.shape[:-1] + bv.shape[-1:]),
+                   (a, lambda g: (rows(g) @ bv.T).reshape(av.shape)),
+                   (b, lambda g: a2.T @ rows(g)))
+    return _op(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+               (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
-    tape = _result_tape(a)
-    out = _make(np.ascontiguousarray(a.value.T), tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, np.ascontiguousarray(g.T))
-        tape._record(out, backward)
-    return out
+    """Swap the last two axes."""
+    def swapped(x):
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    return _op(swapped(a.value), (a, swapped))
 
 
 def add_bias(a: Tensor, bias: Tensor) -> Tensor:
     """Add a 1 x cols bias row to every row of a."""
-    if bias.shape != (1, a.cols):
+    if bias.shape != (1, a.shape[-1]):
         raise ShapeError(f"add_bias: bias {bias.shape} does not match columns of {a.shape}")
-    tape = _result_tape(a, bias)
-    out = _make(a.value + bias.value, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, g)
-            _accumulate(bias, g.sum(axis=0, keepdims=True))
-        tape._record(out, backward)
-    return out
+    return _op(a.value + bias.value, (a, lambda g: g), (bias, lambda g: g))
 
 
 def tanh(a: Tensor) -> Tensor:
-    tape = _result_tape(a)
     y = np.tanh(a.value)
-    out = _make(y, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, g * (1.0 - y * y))
-        tape._record(out, backward)
-    return out
+    return _op(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
@@ -285,112 +267,135 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function 1 / (1 + exp(-x))."""
-    tape = _result_tape(a)
     y = _stable_sigmoid(a.value)
-    out = _make(y, tape)
-    if tape is not None:
-        def backward(g):
-            _accumulate(a, g * y * (1.0 - y))
-        tape._record(out, backward)
-    return out
+    return _op(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def log(a: Tensor) -> Tensor:
-    tape = _result_tape(a)
-    out = _make(np.log(a.value), tape)
-    if tape is not None:
-        av = a.value
-        def backward(g):
-            _accumulate(a, g / av)
-        tape._record(out, backward)
-    return out
+    av = a.value
+    return _op(np.log(av), (a, lambda g: g / av))
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     """Clip values into [lo, hi]; gradient passes only where unclipped."""
-    tape = _result_tape(a)
-    out = _make(np.clip(a.value, lo, hi), tape)
-    if tape is not None:
-        inside = (a.value >= lo) & (a.value <= hi)
-        def backward(g):
-            _accumulate(a, g * inside)
-        tape._record(out, backward)
-    return out
+    inside = (a.value >= lo) & (a.value <= hi)
+    return _op(np.clip(a.value, lo, hi), (a, lambda g: g * inside))
+
+
+def row_dot(a: Tensor, b: Tensor) -> Tensor:
+    """Dot product along the last axis, broadcasting the other axes (a
+    1 x n row meets every row of a stack). The last axis is dropped."""
+    if a.shape[-1] != b.shape[-1]:
+        raise ShapeError(f"row_dot: row lengths differ, {a.shape} vs {b.shape}")
+    try:
+        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    except ValueError:
+        raise ShapeError(f"row_dot: shapes {a.shape} and {b.shape} do not broadcast") from None
+    av, bv = a.value, b.value
+
+    def grad_b(g):
+        if bv.shape == (1, bv.shape[-1]):
+            return g.reshape(1, -1) @ av.reshape(-1, av.shape[-1])
+        return g[..., None] * av
+    # einsum reduces each row on its own, so a row's result does not depend
+    # on how many rows share the call
+    return _op(np.einsum("...i,...i->...", av, bv).reshape(shape),
+               (a, lambda g: g[..., None] * bv), (b, grad_b))
 
 
 def norm(a: Tensor) -> Tensor:
-    """Frobenius norm as a 1x1 tensor. Zero input is rejected."""
-    tape = _result_tape(a)
-    n = math.sqrt(float(np.sum(a.value * a.value)))
-    if n == 0.0:
-        raise ValueError("norm of a zero tensor is not differentiable")
-    out = _make(np.array([[n]]), tape)
-    if tape is not None:
-        av = a.value
-        def backward(g):
-            _accumulate(a, (g[0, 0] / n) * av)
-        tape._record(out, backward)
-    return out
+    """Euclidean norm of each row, over the last axis. A zero row is rejected."""
+    av = a.value
+    n = np.sqrt(np.einsum("...i,...i->...", av, av))
+    if not np.all(n > 0.0):
+        raise ValueError("norm of a zero row is not differentiable")
+    return _op(n, (a, lambda g: (g / n)[..., None] * av))
 
 
 def zero_rows(a: Tensor, row_mask) -> Tensor:
-    """Zero out the rows where row_mask is True; gradient is blocked there."""
+    """Zero out the rows (last-axis vectors) where row_mask is True;
+    gradient is blocked there. row_mask has a's shape without the last axis."""
     mask = np.asarray(row_mask, dtype=bool)
-    if mask.shape != (a.rows,):
-        raise ShapeError(f"zero_rows: mask length {mask.shape} does not match {a.rows} rows")
-    tape = _result_tape(a)
-    v = a.value.copy()
-    v[mask, :] = 0.0
-    out = _make(v, tape)
-    if tape is not None:
-        def backward(g):
-            gz = g.copy()
-            gz[mask, :] = 0.0
-            _accumulate(a, gz)
-        tape._record(out, backward)
-    return out
+    if mask.shape != a.shape[:-1]:
+        raise ShapeError(f"zero_rows: mask shape {mask.shape} does not match rows of {a.shape}")
+
+    def zeroed(x):
+        x = x.copy()
+        x[mask] = 0.0
+        return x
+    return _op(zeroed(a.value), (a, zeroed))
+
+
+def gather(a: Tensor, index, keep=None) -> Tensor:
+    """Rows of a picked by an integer index array: out[i] = a[index[i]].
+
+    The result has shape index.shape + a.shape[1:]. Where keep (index's
+    shape) is False the picked row is zero and passes no gradient back.
+    Backward sums the gradients of each picked row in index order, so a row
+    picked many times accumulates deterministically.
+    """
+    index = np.asarray(index, dtype=np.intp)
+    value = np.take(a.value, index, axis=0)
+    if keep is not None:
+        keep = np.asarray(keep, dtype=bool)
+        if keep.shape != index.shape:
+            raise ShapeError(f"gather: keep shape {keep.shape} differs from index {index.shape}")
+        value[~keep] = 0.0
+    if a.tape is None:
+        return _make(value, None)
+    picked = index.reshape(-1) if keep is None else index[keep]
+    order = np.argsort(picked, kind="stable")
+    rows, starts = np.unique(picked[order], return_index=True)
+
+    def scatter(g):
+        g = g.reshape((-1,) + a.shape[1:]) if keep is None else g[keep]
+        ga = np.zeros_like(a.value)
+        ga[rows] = np.add.reduceat(g[order], starts, axis=0)
+        return ga
+    return _op(value, (a, scatter))
 
 
 def softmax_masked(logits: Tensor, mask=None) -> Tensor:
-    """Row-wise softmax that gives exactly zero weight to masked columns.
+    """Softmax over the last axis that gives exactly zero weight to masked entries.
 
-    ``mask`` is a boolean vector over columns (True = excluded), shared by
-    all rows; ``None`` means nothing is masked. Stabilized by subtracting the
-    per-row maximum over unmasked entries. The 1 x n case is the plain
-    masked-softmax over a vector of logits.
+    ``mask`` (True = excluded) broadcasts against the logits: a vector over
+    the last axis is shared by every row, and a per-set mask such as
+    (S, 1, K) for (S, R, K) logits or (S, K) for (S, K) logits gives each
+    set its own. ``None`` means nothing is masked. Stabilized by
+    subtracting each row's maximum over unmasked entries.
     """
-    if mask is None:
-        mask = np.zeros(logits.cols, dtype=bool)
-    else:
-        mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (logits.cols,):
-        raise ShapeError(
-            f"softmax_masked: mask length {mask.shape} does not match {logits.cols} columns"
-        )
-    if mask.all():
-        raise DegenerateMaskError("softmax_masked: every entry is masked")
-    tape = _result_tape(logits)
     x = logits.value
-    keep = ~mask
-    m = x[:, keep].max(axis=1, keepdims=True)
-    w = np.zeros_like(x)
-    w[:, keep] = np.exp(x[:, keep] - m)
-    y = w / w.sum(axis=1, keepdims=True)
-    out = _make(y, tape)
-    if tape is not None:
-        def backward(g):
-            # per-row softmax jacobian; masked columns carry y == 0
-            inner = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(logits, y * (g - inner))
-        tape._record(out, backward)
-    return out
+    mask = np.zeros(x.shape[-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    try:
+        if mask.ndim == 0 or mask.ndim > x.ndim or mask.shape[-1] != x.shape[-1]:
+            raise ValueError
+        keep = np.broadcast_to(~mask, x.shape)
+    except ValueError:
+        raise ShapeError(
+            f"softmax_masked: mask shape {mask.shape} does not match logits {x.shape}") from None
+    if not keep.any(axis=-1).all():
+        raise DegenerateMaskError("softmax_masked: every entry of a row is masked")
+    z = np.where(keep, x, -np.inf)
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    y = w / w.sum(axis=-1, keepdims=True)
+    # per-row softmax jacobian; masked entries carry y == 0
+    return _op(y, (logits, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))))
 
 
-def fold_sum(tensors: list[Tensor]) -> Tensor:
-    """Sum a non-empty list of same-shape tensors in fixed index order."""
-    if not tensors:
-        raise ValueError("fold_sum of an empty list")
-    total = tensors[0]
-    for t in tensors[1:]:
-        total = add(total, t)
-    return total
+def weighted_mean(x: Tensor, weights) -> Tensor:
+    """Weighted mean of the rows of each set: (S, K) weights over (S, K, d)
+    rows give (S, d). weights is a tensor or a constant array; zero weights
+    exclude rows exactly, and each set's weights must have a positive sum.
+    """
+    w_t = weights if isinstance(weights, Tensor) else _make(np.asarray(weights, float), None)
+    w, xv = w_t.value, x.value
+    if xv.shape[:-1] != w.shape:
+        raise ShapeError(f"weighted_mean: weights {w.shape} do not index rows of {xv.shape}")
+    total = w.sum(axis=-1, keepdims=True)
+    if not np.all(total > 0.0):
+        raise ValueError("weighted_mean: a set of weights sums to zero")
+    mean = (w[..., None, :] @ xv)[..., 0, :] / total
+
+    def grad_w(g):
+        return ((xv @ g[..., :, None])[..., 0] - (mean * g).sum(-1, keepdims=True)) / total
+    return _op(mean, (x, lambda g: (w / total)[..., :, None] * g[..., None, :]), (w_t, grad_w))

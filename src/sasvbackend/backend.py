@@ -11,11 +11,16 @@ score.
 Spoofed enrollment entries are both zeroed out and excluded from every
 attention softmax, so their content can never influence the pooled vector
 or any gradient.
+
+The building blocks work on stacks: forward_batch runs the whole pass over
+a TrialBatch, pooling every enrollment set once and scoring every test
+utterance with the CM head once.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -99,6 +104,35 @@ class EnrollmentSet:
     def spoof_mask(self) -> np.ndarray:
         """True where the entry is spoofed, i.e. must be masked out."""
         return np.array([not b for b in self.bonafide_mask], dtype=bool)
+
+
+@dataclass(frozen=True)
+class EnrollmentStack:
+    """S enrollment sets as rows of one embedding matrix.
+
+    embeddings is (N, d_a); members (S, K) holds each set's row indices and
+    masked (S, K) is True where an entry is spoofed, or pads a set shorter
+    than K. Masked entries never influence pooling or any gradient.
+    """
+
+    embeddings: np.ndarray
+    members: np.ndarray
+    masked: np.ndarray
+
+    def __post_init__(self):
+        degenerate = np.flatnonzero(self.masked.all(axis=1))
+        if degenerate.size:
+            raise DegenerateEnrollmentError(
+                f"enrollment set {degenerate[0]} has no bona-fide entry")
+
+
+def _stack(enroll: "EnrollmentSet | EnrollmentStack") -> EnrollmentStack:
+    if isinstance(enroll, EnrollmentStack):
+        return enroll
+    if len(enroll) == 0:
+        raise EmptyEnrollmentError(f"enrollment for {enroll.speaker_id!r} is empty")
+    members = np.arange(len(enroll))[None]
+    return EnrollmentStack(enroll.matrix(), members, enroll.spoof_mask()[None])
 
 
 _PARAM_NAMES = (
@@ -186,94 +220,110 @@ class BackendParams:
                 encoded = name.encode("utf-8")
                 f.write(struct.pack("<I", len(encoded)))
                 f.write(encoded)
-                f.write(struct.pack("<II", t.rows, t.cols))
+                f.write(struct.pack("<II", *t.shape))
                 f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path, tape: Tape | None = None) -> "BackendParams":
+        """Read a checkpoint written by save().
+
+        Raises ValueError naming the path on a bad magic or version, a short
+        read, a missing, unknown or repeated parameter, a shape that does not
+        match the header's dimensions, a non-finite value or trailing bytes.
+        """
         with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+
+            def read(n: int, what: str) -> bytes:
+                if n > size - f.tell():
+                    raise ValueError(f"{path}: checkpoint is truncated in {what}")
+                return f.read(n)
+
             magic = f.read(8)
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a back-end checkpoint (bad magic {magic!r})")
-            version, d_a, d_c, h_f = struct.unpack("<IIII", f.read(16))
+            version, d_a, d_c, h_f = struct.unpack("<IIII", read(16, "the header"))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            expected = cls._shapes(d_a, d_c, h_f)
             tensors = {}
-            for _ in _PARAM_NAMES:
-                (name_len,) = struct.unpack("<I", f.read(4))
-                name = f.read(name_len).decode("utf-8")
-                rows, cols = struct.unpack("<II", f.read(8))
-                raw = f.read(rows * cols * 8)
-                value = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+            for i in range(len(_PARAM_NAMES)):
+                (name_len,) = struct.unpack("<I", read(4, f"parameter {i}"))
+                name = read(name_len, f"parameter {i}").decode("utf-8", errors="replace")
+                if name not in expected or name in tensors:
+                    kind = "repeated" if name in tensors else "unknown"
+                    raise ValueError(f"{path}: {kind} parameter name {name!r}")
+                shape = struct.unpack("<II", read(8, f"parameter {name}"))
+                if shape != expected[name]:
+                    raise ValueError(f"{path}: parameter {name} has shape {shape}, "
+                                     f"expected {expected[name]}")
+                raw = read(shape[0] * shape[1] * 8, f"parameter {name}")
+                value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                if not np.all(np.isfinite(value)):
+                    raise ValueError(f"{path}: parameter {name} has non-finite values")
                 tensors[name] = tape.parameter(value) if tape is not None else Tensor(value)
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after parameters")
         return cls(d_a, d_c, h_f, tensors)
 
 
-def _check_enrollment(enroll: EnrollmentSet) -> np.ndarray:
-    if len(enroll) == 0:
-        raise EmptyEnrollmentError(f"enrollment for {enroll.speaker_id!r} is empty")
-    spoof = enroll.spoof_mask()
-    if spoof.all():
-        raise DegenerateEnrollmentError(
-            f"enrollment for {enroll.speaker_id!r} has no bona-fide entry"
-        )
-    return spoof
+def pool_enrollments(params: BackendParams,
+                     enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
+    """Pool each enrollment set into its speaker representative vector.
 
-
-def pool_enrollments(params: BackendParams, enroll: EnrollmentSet) -> Tensor:
-    """Pool enrollment embeddings into the speaker representative vector.
-
-    Spoofed entries are zeroed and excluded from both attention softmaxes,
-    so the result is independent of their content. Returns a 1 x d_a tensor,
-    tracked whenever the parameters are.
+    Returns an S x d_a tensor (1 x d_a for one EnrollmentSet), tracked
+    whenever the parameters are. The N stacked embeddings are projected
+    once and the projections gathered into the sets. Masked entries are
+    zeroed and excluded from both attention softmaxes, so the result is
+    independent of their content.
     """
-    spoof = _check_enrollment(enroll)
-    E = ad.zero_rows(Tensor(enroll.matrix()), spoof)
+    stack = _stack(enroll)
+    X = Tensor(stack.embeddings)
+    keep = ~stack.masked
+
+    def rows(t: Tensor) -> Tensor:
+        return ad.gather(t, stack.members, keep)
 
     # scaled-dot self-attention with residual, masked rows forced to zero
-    Q = ad.matmul(E, params.Wq)
-    K = ad.matmul(E, params.Wk)
-    V = ad.matmul(E, params.Wv)
+    E = rows(X)
+    Q = rows(ad.matmul(X, params.Wq))
+    K = rows(ad.matmul(X, params.Wk))
+    V = rows(ad.matmul(X, params.Wv))
     scores = ad.affine(ad.matmul(Q, ad.transpose(K)), 1.0 / math.sqrt(params.d_a))
-    A = ad.softmax_masked(scores, spoof)
-    O = ad.zero_rows(ad.add(ad.matmul(A, V), E), spoof)
+    A = ad.softmax_masked(scores, stack.masked[:, None, :])
+    O = ad.zero_rows(ad.add(ad.matmul(A, V), E), stack.masked)
 
     # feed-forward self-attention pooling over the SDSA outputs
     hidden = ad.tanh(ad.add_bias(ad.matmul(O, ad.transpose(params.Wf)), params.bf))
-    logits = ad.transpose(ad.matmul(hidden, ad.transpose(params.vf)))
-    alpha = ad.softmax_masked(logits, spoof)
-    return ad.matmul(alpha, O)
+    alpha = ad.softmax_masked(ad.row_dot(hidden, params.vf), stack.masked)
+    return ad.weighted_mean(O, alpha)
 
 
-def average_pool(enroll: EnrollmentSet) -> Tensor:
-    """Arithmetic mean of the bona-fide enrollment embeddings only."""
-    spoof = _check_enrollment(enroll)
-    kept = enroll.matrix()[~spoof]
-    return Tensor(kept.mean(axis=0, keepdims=True))
+def average_pool(enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
+    """Arithmetic mean of each set's bona-fide enrollment embeddings only."""
+    stack = _stack(enroll)
+    keep = ~stack.masked
+    return ad.weighted_mean(ad.gather(Tensor(stack.embeddings), stack.members, keep),
+                            keep.astype(np.float64))
 
 
 def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor
                     ) -> tuple[Tensor, Tensor, Tensor]:
-    """Calibrated cosine head: returns (cos, s_asv, P_asv) as 1x1 tensors."""
-    if not np.any(q_asv.value):
+    """Calibrated cosine head over matching rows of q_asv and h: returns
+    (cos, s_asv, P_asv), one entry per row."""
+    if not np.all(np.any(q_asv.value, axis=-1)):
         raise ZeroNormError("test ASV embedding has zero norm")
-    if not np.any(h.value):
+    if not np.all(np.any(h.value, axis=-1)):
         raise ZeroNormError("speaker representative vector has zero norm")
-    dot = ad.matmul(q_asv, ad.transpose(h))
-    cos = ad.div(dot, ad.mul(ad.norm(q_asv), ad.norm(h)))
+    cos = ad.div(ad.row_dot(q_asv, h), ad.mul(ad.norm(q_asv), ad.norm(h)))
     s_asv = ad.add(ad.mul(params.a, cos), params.b)
     return cos, s_asv, ad.sigmoid(s_asv)
 
 
 def cm_probability(params: BackendParams, q_cm: Tensor) -> tuple[Tensor, Tensor]:
-    """Linear countermeasure head: returns (s_cm, P_cm) as 1x1 tensors."""
-    if q_cm.shape != (1, params.d_c):
-        raise ad.ShapeError(
-            f"CM embedding shape {q_cm.shape} does not match (1, {params.d_c})"
-        )
-    s_cm = ad.add(ad.matmul(params.w_cm, ad.transpose(q_cm)), params.b_cm)
+    """Linear countermeasure head over the rows of q_cm: returns (s_cm, P_cm),
+    one entry per row."""
+    s_cm = ad.add(ad.row_dot(q_cm, params.w_cm), params.b_cm)
     return s_cm, ad.sigmoid(s_cm)
 
 
@@ -283,9 +333,24 @@ def fuse(params: BackendParams, P_cm: Tensor, P_asv: Tensor) -> tuple[Tensor, Te
     return s, ad.sigmoid(s)
 
 
+@dataclass(frozen=True, eq=False)
+class TrialBatch:
+    """Trials as arrays: T test utterances against the S sets of a stack.
+
+    Trial i compares row test_row[i] of test_asv (T x d_a) and test_cm
+    (T x d_c) with enrollment set enroll_set[i].
+    """
+
+    test_asv: np.ndarray
+    test_cm: np.ndarray
+    enroll: EnrollmentStack
+    test_row: np.ndarray
+    enroll_set: np.ndarray
+
+
 @dataclass(frozen=True)
-class ForwardScores:
-    """Every score the back-end produces for one trial, as 1x1 tensors."""
+class BatchScores:
+    """Every score the back-end produces, one entry per trial of a batch."""
 
     p: Tensor
     p_asv: Tensor
@@ -295,28 +360,26 @@ class ForwardScores:
     s_cm: Tensor
     cos: Tensor
 
-    def items(self) -> dict[str, float]:
-        return {k: getattr(self, k).item() for k in
-                ("p", "p_asv", "p_cm", "s", "s_asv", "s_cm", "cos")}
 
+def forward_batch(params: BackendParams, batch: TrialBatch, pooling: str = "attention",
+                  fusion=None) -> BatchScores:
+    """Full back-end pass over a trial batch: pool, both heads, fusion.
 
-def forward(params: BackendParams, q_asv: Embedding, q_cm: Embedding,
-            enroll: EnrollmentSet, pooling: str = "attention") -> ForwardScores:
-    """Full back-end pass: pool, both heads, fusion.
-
-    pooling selects the attention pooling path or the plain averaging
-    ablation. All intermediate scores are exposed so that the asv-only and
-    score-sum comparison scorers can reuse one pass.
+    Every enrollment set is pooled once and every test row goes through
+    the CM head once; the ASV head and the fusion run per trial. pooling
+    selects attention pooling or the plain averaging ablation. fusion
+    stands in for fuse when given (same signature).
     """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}, expected one of {POOLING_MODES}")
-    if q_asv.dim != params.d_a:
-        raise ad.ShapeError(f"ASV embedding dim {q_asv.dim} does not match d_a={params.d_a}")
     if pooling == "attention":
-        h = pool_enrollments(params, enroll)
+        h = pool_enrollments(params, batch.enroll)
     else:
-        h = average_pool(enroll)
-    cos, s_asv, p_asv = asv_probability(params, Tensor(q_asv.values), h)
-    s_cm, p_cm = cm_probability(params, Tensor(q_cm.values))
-    s, p = fuse(params, p_cm, p_asv)
-    return ForwardScores(p=p, p_asv=p_asv, p_cm=p_cm, s=s, s_asv=s_asv, s_cm=s_cm, cos=cos)
+        h = average_pool(batch.enroll)
+    cos, s_asv, p_asv = asv_probability(
+        params, Tensor(batch.test_asv[batch.test_row]), ad.gather(h, batch.enroll_set))
+    s_cm, p_cm = cm_probability(params, Tensor(batch.test_cm))
+    p_cm = ad.gather(p_cm, batch.test_row)
+    s, p = (fusion or fuse)(params, p_cm, p_asv)
+    return BatchScores(p=p, p_asv=p_asv, p_cm=p_cm, s=s, s_asv=s_asv,
+                       s_cm=ad.gather(s_cm, batch.test_row), cos=cos)

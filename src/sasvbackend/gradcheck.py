@@ -4,6 +4,12 @@ Builds a random tiny batch, computes the full-batch BCE loss (no hard
 selection, so the loss surface is smooth), and compares every parameter
 element's analytic gradient against central differences of the same loss
 evaluated through an untracked view of the parameters.
+
+The error of an element is |ag - fd| / max(|ag|, |fd|, SCALE_FLOOR * G),
+where G is the largest analytic gradient magnitude in its parameter group.
+Elements near the group's scale are held to a relative tolerance; elements
+many orders of magnitude smaller are held to an absolute one, because
+central differences cannot resolve them below round-off.
 """
 
 from __future__ import annotations
@@ -19,11 +25,12 @@ from .training import TrainConfig, batch_loss
 
 FD_STEP = 1e-5
 TOLERANCE = 1e-4
+SCALE_FLOOR = 1e-2
 
 
 @dataclass(frozen=True)
 class GradCheckResult:
-    """Max relative finite-difference error per parameter group."""
+    """Max scale-aware finite-difference error per parameter group."""
 
     errors: dict[str, float]
     tolerance: float = TOLERANCE
@@ -97,6 +104,12 @@ def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,
             down = loss_value()
             flat[i] = original
             fd[i] = (up - down) / (2.0 * step)
-        ag = analytic[name].reshape(-1)
-        errors[name] = float(np.max(np.abs(ag - fd) / (np.abs(ag) + 1e-8)))
+        errors[name] = group_error(analytic[name].reshape(-1), fd)
     return GradCheckResult(errors=errors)
+
+
+def group_error(ag: np.ndarray, fd: np.ndarray) -> float:
+    """Worst element error of one parameter group (see the module docstring)."""
+    floor = SCALE_FLOOR * np.max(np.abs(ag))
+    scale = np.maximum(np.maximum(np.abs(ag), np.abs(fd)), max(floor, np.finfo(float).tiny))
+    return float(np.max(np.abs(ag - fd) / scale))

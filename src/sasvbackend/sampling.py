@@ -11,11 +11,12 @@ are negatives.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .backend import Embedding, EnrollmentSet
+from .backend import Embedding, EnrollmentSet, EnrollmentStack, TrialBatch
 
 MAX_REDRAWS = 100
 
@@ -50,7 +51,6 @@ class MiniBatch:
     """M speaker blocks of K utterances each (K/2 bona fide, K/2 spoofed)."""
 
     speakers: tuple[SpeakerBlock, ...]
-    seed_lineage: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -63,13 +63,43 @@ class MiniBatch:
 
 @dataclass(frozen=True)
 class TrainingPair:
+    """One pair of a PairBatch, as records."""
+
     test: UtteranceRecord
     enroll: EnrollmentSet
     positive: bool
 
-    @property
-    def label(self) -> str:
-        return "P" if self.positive else "N"
+
+@dataclass(frozen=True, eq=False)
+class PairBatch(TrialBatch, Sequence):
+    """The M * K * M training pairs of a mini-batch, as arrays.
+
+    Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
+    holds utterance j of speaker l, and enrollment set n*K + j is speaker n
+    without slot j. Pair i tests row test_row[i] against speaker
+    enroll_speaker[i] enrolled without slot excluded_slot[i]; positive[i]
+    is its label. Indexing or iterating yields TrainingPair views.
+    """
+
+    batch: MiniBatch
+    bonafide: np.ndarray
+    enroll_speaker: np.ndarray
+    excluded_slot: np.ndarray
+    positive: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.positive)
+
+    def __getitem__(self, i: int) -> TrainingPair:
+        i = range(len(self))[i]
+        k = self.batch.k
+        test_row, slot = int(self.test_row[i]), int(self.excluded_slot[i])
+        test = self.batch.speakers[test_row // k].utterances[test_row % k]
+        block = self.batch.speakers[int(self.enroll_speaker[i])]
+        kept = [u for j, u in enumerate(block.utterances) if j != slot]
+        enroll = EnrollmentSet(block.speaker_id, tuple(u.asv_embedding for u in kept),
+                               tuple(u.bonafide for u in kept))
+        return TrainingPair(test, enroll, bool(self.positive[i]))
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:
@@ -111,7 +141,7 @@ def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
             f"({short_bona} speakers lack bona-fide utterances)"
         )
 
-    for attempt in range(MAX_REDRAWS):
+    for _ in range(MAX_REDRAWS):
         chosen = rng.choice(len(eligible), size=m, replace=False)
         blocks = []
         for idx in chosen:
@@ -123,34 +153,39 @@ def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
             order = rng.permutation(k)
             blocks.append(SpeakerBlock(speaker, tuple(utterances[int(i)] for i in order)))
         if all(_enrollment_survives_exclusion(b) for b in blocks):
-            return MiniBatch(tuple(blocks), seed_lineage=(attempt,))
+            return MiniBatch(tuple(blocks))
     raise PoolExhaustedError(
         f"could not draw a batch with usable enrollments in {MAX_REDRAWS} attempts "
         f"(k={k} leaves {half} bona-fide entries, excluding one can empty them)"
     )
 
 
-def expand_pairs(batch: MiniBatch) -> list[TrainingPair]:
+def expand_pairs(batch: MiniBatch) -> PairBatch:
     """Expand a batch into its M * K * M training pairs.
 
     For test utterance m of speaker l, the enrollment against speaker n is
     speaker n's utterances with index m excluded, mirroring the row pattern
     where a test at slot 2 pairs with slots 1, 3, 4 of every speaker.
     Spoofed enrollment entries stay in the set but are flagged for masking.
+    Pairs are ordered by (l, m, n).
     """
-    pairs = []
-    blocks = batch.speakers
-    for l, test_block in enumerate(blocks):
-        for m_idx, test in enumerate(test_block.utterances):
-            for n, enroll_block in enumerate(blocks):
-                kept = [
-                    u for j, u in enumerate(enroll_block.utterances) if j != m_idx
-                ]
-                enroll = EnrollmentSet(
-                    speaker_id=enroll_block.speaker_id,
-                    embeddings=tuple(u.asv_embedding for u in kept),
-                    bonafide_mask=tuple(u.bonafide for u in kept),
-                )
-                positive = (n == l) and test.bonafide
-                pairs.append(TrainingPair(test=test, enroll=enroll, positive=positive))
-    return pairs
+    m, k = batch.m, batch.k
+    utterances = [u for block in batch.speakers for u in block.utterances]
+    asv = np.array([u.asv_embedding.values for u in utterances])
+    bonafide = np.array([u.bonafide for u in utterances])
+    slots = np.array([[j for j in range(k) if j != x] for x in range(k)])
+    members = (np.arange(m)[:, None, None] * k + slots).reshape(m * k, k - 1)
+    test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
+    excluded_slot = test_row % k
+    return PairBatch(
+        test_asv=asv,
+        test_cm=np.array([u.cm_embedding.values for u in utterances]),
+        enroll=EnrollmentStack(asv, members, ~bonafide[members]),
+        test_row=test_row,
+        enroll_set=enroll_speaker * k + excluded_slot,
+        batch=batch,
+        bonafide=bonafide,
+        enroll_speaker=enroll_speaker,
+        excluded_slot=excluded_slot,
+        positive=(enroll_speaker == test_row // k) & bonafide[test_row],
+    )

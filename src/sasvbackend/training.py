@@ -1,10 +1,11 @@
 """Binary cross-entropy training with hard-negative selection.
 
 Each step draws a mini-batch, expands it into all M*K*M pairs, computes the
-per-pair fused probability and BCE loss, keeps every positive pair plus the
-top-N hardest negatives, and backpropagates the mean loss over the kept
-pairs through SGD with momentum and coupled L2 weight decay. The learning
-rate decays by a fixed factor at every epoch end.
+fused probability and BCE loss of every pair in one batched forward pass,
+keeps every positive pair plus the top-N hardest negatives, and
+backpropagates the mean loss over the kept pairs through SGD with momentum
+and coupled L2 weight decay. The learning rate decays by a fixed factor at
+every epoch end.
 
 The whole loop is deterministic for a given seed: parameter init, batch
 draws and gradient accumulation all run in a fixed order.
@@ -20,17 +21,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .backend import (
-    BackendParams,
-    POOLING_MODES,
-    asv_probability,
-    average_pool,
-    cm_probability,
-    fuse,
-    pool_enrollments,
-)
+from .backend import BackendParams, POOLING_MODES, forward_batch
 from .metrics import evaluate
-from .sampling import TrainingPair, draw_batch, expand_pairs
+from .sampling import PairBatch, draw_batch, expand_pairs
 from .scoring import score_trials
 
 BCE_CLAMP = 1e-12
@@ -94,7 +87,6 @@ class TrainConfig:
 class OptimizerState:
     velocities: dict[str, np.ndarray]
     learning_rate: float
-    epoch: int = 0
 
 
 @dataclass(frozen=True)
@@ -119,9 +111,11 @@ class TrainResult:
     epoch_logs: list[EpochLog] = field(default_factory=list)
 
 
-def bce_loss(p: Tensor, positive: bool) -> Tensor:
-    """-log p for positives, -log(1-p) for negatives, clamped away from 0."""
-    prob = p if positive else ad.affine(p, -1.0, 1.0)
+def bce_loss(p: Tensor, positive) -> Tensor:
+    """Per-entry BCE: -log p where positive, -log(1-p) elsewhere, clamped
+    away from 0. positive is one flag or one flag per entry of p."""
+    positive = np.asarray(positive, dtype=bool)
+    prob = ad.affine(p, np.where(positive, 1.0, -1.0), np.where(positive, 0.0, 1.0))
     return ad.affine(ad.log(ad.clamp(prob, BCE_CLAMP, 1.0 - BCE_CLAMP)), -1.0)
 
 
@@ -131,17 +125,17 @@ def select_hard(losses, positive_mask, top_n: int,
 
     negatives_only keeps every positive plus the top_n largest-loss
     negatives; all_trials ranks everything together. Ties keep their
-    original order (python's sort is stable).
+    original order (the ranking sort is stable).
     """
-    if len(losses) != len(positive_mask):
+    losses = np.asarray(losses, dtype=np.float64)
+    positive = np.asarray(positive_mask, dtype=bool)
+    if losses.shape != positive.shape:
         raise ValueError("losses and positive_mask lengths differ")
     if mode == "all_trials":
-        ranked = sorted(range(len(losses)), key=lambda i: -losses[i])
-        return sorted(ranked[:top_n])
-    positives = [i for i, pos in enumerate(positive_mask) if pos]
-    negatives = [i for i, pos in enumerate(positive_mask) if not pos]
-    ranked = sorted(negatives, key=lambda i: -losses[i])
-    return sorted(positives + ranked[:top_n])
+        return np.sort(np.argsort(-losses, kind="stable")[:top_n]).tolist()
+    negatives = np.flatnonzero(~positive)
+    hardest = negatives[np.argsort(-losses[negatives], kind="stable")[:top_n]]
+    return np.sort(np.concatenate([np.flatnonzero(positive), hardest])).tolist()
 
 
 def sgd_step(params: BackendParams, state: OptimizerState, config: TrainConfig,
@@ -159,36 +153,21 @@ def sgd_step(params: BackendParams, state: OptimizerState, config: TrainConfig,
         tensor.value -= state.learning_rate * v
 
 
-def _pair_loss(params: BackendParams, pair: TrainingPair, pooled_cache: dict,
-               pooling: str) -> Tensor:
-    key = (pair.enroll.speaker_id,
-           tuple(e.utterance_id for e in pair.enroll.embeddings))
-    h = pooled_cache.get(key)
-    if h is None:
-        h = (pool_enrollments(params, pair.enroll) if pooling == "attention"
-             else average_pool(pair.enroll))
-        pooled_cache[key] = h
-    _, _, p_asv = asv_probability(params, Tensor(pair.test.asv_embedding.values), h)
-    _, p_cm = cm_probability(params, Tensor(pair.test.cm_embedding.values))
-    _, p = fuse(params, p_cm, p_asv)
-    return bce_loss(p, pair.positive)
-
-
-def batch_loss(params: BackendParams, pairs: list[TrainingPair],
+def batch_loss(params: BackendParams, pairs: PairBatch,
                config: TrainConfig) -> tuple[Tensor, list[int]]:
     """Per-pair BCE, hard selection, mean over the selected subset.
 
     Returns the mean loss tensor (tracked whenever params are) and the
-    selected pair indices. Only the selected pairs are folded into the
-    mean, so only they contribute gradients.
+    selected pair indices. Selection is a 0/1 weight on each pair's loss,
+    so only the selected pairs contribute gradients.
     """
-    pooled_cache: dict = {}
-    losses = [_pair_loss(params, pair, pooled_cache, config.pooling) for pair in pairs]
-    values = [loss.item() for loss in losses]
-    selected = select_hard(values, [p.positive for p in pairs],
+    scores = forward_batch(params, pairs, config.pooling)
+    losses = bce_loss(scores.p, pairs.positive)
+    selected = select_hard(losses.value, pairs.positive,
                            config.hard_negative_top_n, config.hard_selection)
-    total = ad.fold_sum([losses[i] for i in selected])
-    return ad.affine(total, 1.0 / len(selected)), selected
+    weights = np.zeros((1, len(pairs.positive)))
+    weights[0, selected] = 1.0
+    return ad.affine(ad.row_dot(losses, Tensor(weights)), 1.0 / len(selected)), selected
 
 
 def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
@@ -223,7 +202,6 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
     result = TrainResult(params=params)
     try:
         for epoch in range(config.epochs):
-            state.epoch = epoch
             state.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** epoch
             epoch_losses = []
             for batch_idx in range(batches_per_epoch):
@@ -253,8 +231,6 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
             if checkpoint_dir is not None:
                 params.save(checkpoint_dir / f"epoch_{epoch + 1:03d}.ckpt")
 
-        state.epoch = config.epochs
-        state.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** config.epochs
         if checkpoint_dir is not None:
             params.save(checkpoint_dir / "final.ckpt")
     finally:

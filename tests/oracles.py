@@ -1,9 +1,13 @@
 """Independent reference implementations shared by the test suites.
 
-These deliberately avoid the library's code paths: plain counting loops and
-midpoint threshold sweeps, so they can serve as oracles for the fast
-implementations under test.
+These deliberately avoid the library's fast code paths: plain counting
+loops, midpoint threshold sweeps and a per-pair training loss, so they can
+serve as oracles for the implementations under test.
 """
+
+from sasvbackend import autodiff as ad
+from sasvbackend import backend as bk
+from sasvbackend import training as tr
 
 
 def brute_force_eer(positives, negatives):
@@ -33,3 +37,31 @@ def brute_force_eer(positives, negatives):
             return frr0 + s * (frr - frr0)
         prev = (t, far, frr)
     raise AssertionError("no crossing found")
+
+
+def per_pair_batch_loss(params, pairs, config):
+    """Reference training loss: one scalar graph per pair.
+
+    Each pair's enrollment set is pooled on its own, both heads and the
+    fusion run on 1 x 1 values, the selected losses are summed one by one
+    in pair order and the sum is scaled by 1/len(selected). Returns
+    (loss, selected) like training.batch_loss.
+    """
+    pooled = {}
+    losses = []
+    for pair in pairs:
+        key = (pair.enroll.speaker_id, tuple(e.utterance_id for e in pair.enroll.embeddings))
+        if key not in pooled:
+            pooled[key] = (bk.pool_enrollments(params, pair.enroll)
+                           if config.pooling == "attention" else bk.average_pool(pair.enroll))
+        _, _, p_asv = bk.asv_probability(params, ad.Tensor(pair.test.asv_embedding.values),
+                                         pooled[key])
+        _, p_cm = bk.cm_probability(params, ad.Tensor(pair.test.cm_embedding.values))
+        _, p = bk.fuse(params, p_cm, p_asv)
+        losses.append(tr.bce_loss(p, pair.positive))
+    selected = tr.select_hard([loss.item() for loss in losses], [p.positive for p in pairs],
+                              config.hard_negative_top_n, config.hard_selection)
+    total = losses[selected[0]]
+    for i in selected[1:]:
+        total = ad.add(total, losses[i])
+    return ad.affine(total, 1.0 / len(selected)), selected

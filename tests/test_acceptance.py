@@ -25,7 +25,7 @@ from sasvbackend import training as tr
 from sasvbackend.gradcheck import gradient_check
 from sasvbackend.sampling import draw_batch, expand_pairs
 
-GRADCHECK_SEEDS = (0, 1, 2, 3, 6)
+GRADCHECK_SEEDS = tuple(range(20))
 
 # pinned desk-scale recipe for the synthetic-trend criteria; the
 # corpus-scale defaults (lr 1e-4, 40 epochs, 16x10 batches) stay the
@@ -110,7 +110,8 @@ def averaging_report(trend_pipeline, tmp_path_factory):
 
 def test_criterion_1_gradient_correctness():
     """Analytic gradients match central finite differences (h = 1e-5,
-    relative error < 1e-4) for every parameter group on 5 seeds, < 30 s."""
+    scale-aware error < 1e-4) for every parameter group on seeds 0..19,
+    < 30 s."""
     started = time.perf_counter()
     worst_overall = ("", 0.0)
     for seed in GRADCHECK_SEEDS:
@@ -324,8 +325,15 @@ def test_criterion_8_hard_selection_contract():
 
     selected_hard, _ = grads_for(100)
     assert len(selected_hard) == 180
-    assert all(pairs[i].positive for i in selected_hard[:0])  # order sanity
+    assert all(a < b for a, b in zip(selected_hard, selected_hard[1:]))
     assert sum(1 for i in selected_hard if pairs[i].positive) == 80
+    # every kept negative is at least as hard as every dropped one
+    params = bk.BackendParams.init(6, 4, 3, np.random.default_rng(9))
+    losses = tr.bce_loss(bk.forward_batch(params, pairs).p, pairs.positive).value
+    kept = np.zeros(len(pairs), dtype=bool)
+    kept[selected_hard] = True
+    negatives = ~pairs.positive
+    assert losses[kept & negatives].min() >= losses[~kept & negatives].max()
 
     selected_all, grads_all = grads_for(2480)
     assert len(selected_all) == 2560

@@ -213,6 +213,82 @@ class TestBackward:
             assert relative_error(a, n) < 1e-4
 
 
+    def test_stacked_ops_match_finite_differences(self):
+        # gather, stacked and flat matmul, per-set softmax masks, row_dot,
+        # row norms, weighted_mean and broadcasting in one graph
+        rng = np.random.default_rng(11)
+        tape = ad.Tape()
+        W = tape.parameter(rng.standard_normal((3, 3)) * 0.5)
+        u = tape.parameter(rng.standard_normal((1, 3)) * 0.5)
+        c = tape.parameter(0.8)
+        X = ad.Tensor(rng.standard_normal((5, 3)))
+        q = ad.Tensor(rng.standard_normal((4, 3)))
+        members = np.array([[0, 1, 2], [2, 3, 4], [4, 0, 1]])  # rows shared by sets
+        masked = np.array([[False, True, False], [False, False, False], [True, False, False]])
+        pair_set = np.array([0, 1, 2, 1])
+
+        def forward(params):
+            W_, u_, c_ = params
+            P = ad.gather(ad.add(ad.matmul(X, W_), u_), members, ~masked)
+            A = ad.softmax_masked(ad.matmul(P, ad.transpose(P)), masked[:, None, :])
+            O = ad.zero_rows(ad.tanh(ad.matmul(A, P)), masked)
+            alpha = ad.softmax_masked(ad.row_dot(ad.add_bias(O, u_), u_), masked)
+            h = ad.gather(ad.weighted_mean(O, alpha), pair_set)
+            cos = ad.div(ad.row_dot(q, h), ad.mul(ad.norm(q), ad.norm(h)))
+            p = ad.sigmoid(ad.add(ad.mul(c_, cos), ad.sub(c_, ad.Tensor(0.3))))
+            return ad.row_dot(ad.affine(ad.log(p), -1.0), ad.Tensor([1.0, 0.0, 2.0, 1.0]))
+
+        loss = forward([W, u, c])
+        tape.backward(loss)
+        analytic = [W.grad.copy(), u.grad.copy(), c.grad.copy()]
+        detached = [t.detach() for t in (W, u, c)]
+        fd = finite_difference(lambda: forward(detached).item(), [W, u, c])
+        for a, n in zip(analytic, fd):
+            assert relative_error(a, n) < 1e-4
+
+
+class TestBatchedOps:
+    def test_gather_accumulates_repeats_and_blocks_kept_false(self):
+        tape = ad.Tape()
+        x = tape.parameter(np.arange(6.0).reshape(3, 2))
+        out = ad.gather(x, [[0, 2], [0, 1]], [[True, True], [True, False]])
+        assert np.array_equal(out.value, [[[0, 1], [4, 5]], [[0, 1], [0, 0]]])
+        pooled = ad.weighted_mean(out, [[1.0, 1.0], [1.0, 1.0]])
+        row_sums = ad.row_dot(pooled, ad.Tensor([[1.0, 1.0]]))
+        tape.backward(ad.row_dot(row_sums, ad.Tensor([0.5, 0.5])))
+        # row 0 picked twice, row 1 only in a blocked slot
+        assert np.array_equal(x.grad, [[0.5, 0.5], [0.0, 0.0], [0.25, 0.25]])
+
+    def test_per_set_mask_gives_exact_zeros(self):
+        logits = ad.Tensor(np.random.default_rng(0).standard_normal((2, 3, 3)))
+        masked = np.array([[False, True, False], [True, False, False]])
+        out = ad.softmax_masked(logits, masked[:, None, :]).value
+        assert np.all(out[0, :, 1] == 0.0) and np.all(out[1, :, 0] == 0.0)
+        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-15)
+
+    def test_degenerate_set_raises(self):
+        with pytest.raises(ad.DegenerateMaskError):
+            ad.softmax_masked(ad.Tensor(np.zeros((2, 2))), [[False, False], [True, True]])
+
+    def test_scalar_broadcast_sums_gradient(self):
+        tape = ad.Tape()
+        c = tape.parameter(2.0)
+        x = ad.Tensor(np.arange(4.0).reshape(2, 2))
+        tape.backward(ad.row_dot(ad.row_dot(ad.mul(c, x), ad.Tensor([[1.0, 1.0]])),
+                                 ad.Tensor([0.5, 0.5])))
+        assert c.grad.shape == (1, 1) and c.grad[0, 0] == 3.0
+
+    def test_incompatible_shapes_rejected(self):
+        with pytest.raises(ad.ShapeError):
+            ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
+        with pytest.raises(ad.ShapeError):
+            ad.weighted_mean(ad.Tensor(np.ones((2, 3))), [1.0, 1.0, 1.0, 1.0])
+
+    def test_zero_weight_sum_rejected(self):
+        with pytest.raises(ValueError):
+            ad.weighted_mean(ad.Tensor(np.ones((2, 3))), [[0.0, 0.0], [1.0, 0.0]])
+
+
 class TestDeterminism:
     def test_forward_ops_bitwise_deterministic(self):
         rng = np.random.default_rng(3)

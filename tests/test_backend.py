@@ -251,12 +251,21 @@ def random_trial(rng, d_a=4, d_c=3, k=3):
     return q_asv, q_cm, bk.EnrollmentSet("s", embs, tuple(bona))
 
 
+def forward_one(params, q_asv, q_cm, enroll, pooling="attention"):
+    """forward_batch on a batch holding the single trial (q, enroll)."""
+    stack = bk.EnrollmentStack(enroll.matrix(), np.arange(len(enroll))[None],
+                               enroll.spoof_mask()[None])
+    batch = bk.TrialBatch(q_asv.values[None], q_cm.values[None], stack,
+                          np.array([0]), np.array([0]))
+    return bk.forward_batch(params, batch, pooling)
+
+
 class TestForward:
     def test_composition_matches_components_bitwise(self):
         rng = np.random.default_rng(5)
         p = make_params(seed=5)
         q_asv, q_cm, enroll = random_trial(rng)
-        out = bk.forward(p, q_asv, q_cm, enroll)
+        out = forward_one(p, q_asv, q_cm, enroll)
         h = bk.pool_enrollments(p, enroll)
         cos, s_asv, p_asv = bk.asv_probability(p, ad.Tensor(q_asv.values), h)
         s_cm, p_cm = bk.cm_probability(p, ad.Tensor(q_cm.values))
@@ -271,14 +280,14 @@ class TestForward:
         p = make_params()
         q_asv, q_cm, enroll = random_trial(rng)
         with pytest.raises(ValueError, match="pooling"):
-            bk.forward(p, q_asv, q_cm, enroll, pooling="max")
+            forward_one(p, q_asv, q_cm, enroll, pooling="max")
 
     def test_probabilities_in_open_interval(self):
         rng = np.random.default_rng(11)
         p = make_params(seed=11)
         for _ in range(20):
             q_asv, q_cm, enroll = random_trial(rng)
-            out = bk.forward(p, q_asv, q_cm, enroll)
+            out = forward_one(p, q_asv, q_cm, enroll)
             for val in (out.p.item(), out.p_asv.item(), out.p_cm.item()):
                 assert 0.0 < val < 1.0
 
@@ -287,7 +296,7 @@ class TestForward:
         tape = ad.Tape()
         p = bk.BackendParams.init(4, 3, 2, rng, tape=tape)
         q_asv, q_cm, enroll = random_trial(rng)
-        out = bk.forward(p, q_asv, q_cm, enroll, pooling="average")
+        out = forward_one(p, q_asv, q_cm, enroll, pooling="average")
         tape.backward(out.p)
         for name in ("Wq", "Wk", "Wv", "Wf", "bf", "vf"):
             assert np.array_equal(getattr(p, name).grad, np.zeros_like(getattr(p, name).value))
@@ -312,15 +321,51 @@ class TestCheckpoint:
         rng = np.random.default_rng(8)
         p = make_params(seed=8)
         q_asv, q_cm, enroll = random_trial(rng)
-        before = bk.forward(p, q_asv, q_cm, enroll, pooling="average").p.item()
+        before = forward_one(p, q_asv, q_cm, enroll, pooling="average").p.item()
         path = tmp_path / "m.ckpt"
         p.save(path)
-        after = bk.forward(bk.BackendParams.load(path), q_asv, q_cm, enroll,
-                           pooling="average").p.item()
+        after = forward_one(bk.BackendParams.load(path), q_asv, q_cm, enroll,
+                            pooling="average").p.item()
         assert before == after
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTMODEL" + b"\x00" * 32)
         with pytest.raises(ValueError, match="magic"):
+            bk.BackendParams.load(path)
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        make_params(d_a=3, d_c=2, h_f=2, seed=4).save(path)
+        return path, path.read_bytes()
+
+    @pytest.mark.parametrize("keep", [0, 10, 24, 30, 100, -1])
+    def test_truncated_rejected_naming_path(self, tmp_path, keep):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data[:keep] if keep >= 0 else data[:-1])
+        with pytest.raises(ValueError, match="model.ckpt"):
+            bk.BackendParams.load(path)
+
+    @pytest.mark.parametrize("old,new,message", [
+        (b"\x02\x00\x00\x00Wk", b"\x02\x00\x00\x00Wq", "repeated"),
+        (b"w_cm", b"w_xx", "unknown"),
+    ])
+    def test_wrong_name_set_rejected(self, tmp_path, old, new, message):
+        path, data = self._saved(tmp_path)
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(ValueError, match=message):
+            bk.BackendParams.load(path)
+
+    def test_shape_mismatch_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        # header says d_a = 3; claim d_a = 4 instead
+        path.write_bytes(data[:12] + (4).to_bytes(4, "little") + data[16:])
+        with pytest.raises(ValueError, match="shape"):
+            bk.BackendParams.load(path)
+
+    def test_non_finite_value_rejected(self, tmp_path):
+        path, data = self._saved(tmp_path)
+        at = data.index(b"Wq") + 2 + 8
+        path.write_bytes(data[:at] + np.array([np.nan]).tobytes() + data[at + 8:])
+        with pytest.raises(ValueError, match="non-finite"):
             bk.BackendParams.load(path)

@@ -1,6 +1,13 @@
 """End-to-end CLI tests: subcommands, exit codes, config files."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sasvbackend import cli
 from sasvbackend import data as dio
@@ -130,6 +137,53 @@ class TestScore:
         ])
         assert code == 4
         assert "nope1" in capsys.readouterr().err
+
+
+def score_with(checkpoint, corpus, out):
+    return cli.main([
+        "score", "--checkpoint", str(checkpoint),
+        "--trials", str(corpus / "trials_eval.tsv"), *data_args(corpus), "--out", str(out),
+    ])
+
+
+class TestCorruptCheckpoint:
+    def test_truncated_exits_2(self, corpus, trained, tmp_path, capsys):
+        good = (trained / "final.ckpt").read_bytes()
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(good[:len(good) // 2])
+        assert score_with(bad, corpus, tmp_path / "s.tsv") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "truncated" in err
+
+    def test_renamed_parameter_exits_2(self, corpus, trained, tmp_path, capsys):
+        good = (trained / "final.ckpt").read_bytes()
+        bad = tmp_path / "renamed.ckpt"
+        bad.write_bytes(good.replace(b"w_cm", b"w_xx", 1))
+        assert score_with(bad, corpus, tmp_path / "s.tsv") == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "w_xx" in err
+
+    @given(edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "insert"]),
+                                    st.floats(0, 1, exclude_max=True),
+                                    st.integers(0, 255)), min_size=1, max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_bytes_exit_0_or_2(self, corpus, trained, edits):
+        data = bytearray((trained / "final.ckpt").read_bytes())
+        for kind, where, byte in edits:
+            at = int(where * len(data)) if data else 0
+            if kind == "set" and data:
+                data[at] = byte
+            elif kind == "cut":
+                del data[at:]
+            else:
+                data[at:at] = bytes([byte])
+        with tempfile.TemporaryDirectory() as tmp:
+            bad = Path(tmp) / "mutated.ckpt"
+            bad.write_bytes(bytes(data))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = score_with(bad, corpus, Path(tmp) / "s.tsv")
+        assert code in (0, 2)
 
 
 class TestEvaluate:

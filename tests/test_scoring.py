@@ -30,13 +30,11 @@ def test_fused_matches_forward_composition(setup):
         tuple(bk.Embedding(e, "asv", ds.asv_embeddings[e]) for e in trial.enroll_ids),
         (True,) * len(trial.enroll_ids),
     )
-    out = bk.forward(
-        params,
-        bk.Embedding(trial.test_id, "asv", ds.asv_embeddings[trial.test_id]),
-        bk.Embedding(trial.test_id, "cm", ds.cm_embeddings[trial.test_id]),
-        enroll,
-    )
-    assert records[0].score == out.p.item()
+    h = bk.pool_enrollments(params, enroll)
+    _, _, p_asv = bk.asv_probability(params, ad.Tensor(ds.asv_embeddings[trial.test_id]), h)
+    _, p_cm = bk.cm_probability(params, ad.Tensor(ds.cm_embeddings[trial.test_id]))
+    _, p = bk.fuse(params, p_cm, p_asv)
+    assert records[0].score == p.item()
     assert records[0].label == trial.label
 
 

@@ -1,15 +1,20 @@
 """Trainer tests: loss values, hard selection, SGD update rule, full loop."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import per_pair_batch_loss
 
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams
-from sasvbackend.sampling import draw_batch, expand_pairs
+from sasvbackend.backend import BackendParams, Embedding
+from sasvbackend.sampling import UtteranceRecord, draw_batch, expand_pairs
 
 
 def tiny_dataset(seed=0, **overrides):
@@ -179,6 +184,75 @@ class TestBatchLoss:
             grad = getattr(params, name).grad
             assert np.array_equal(grad, np.zeros_like(grad)), name
         assert np.any(params.w_cm.grad)
+
+
+def random_pool(rng, n_speakers, half_k, d_a=6, d_c=4):
+    pool = []
+    for s in range(n_speakers):
+        for j in range(2 * half_k):
+            utt = f"s{s}-{j}"
+            pool.append(UtteranceRecord(
+                speaker_id=f"s{s}", utterance_id=utt, bonafide=j < half_k,
+                asv_embedding=Embedding(utt, "asv", rng.standard_normal(d_a)),
+                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
+            ))
+    return pool
+
+
+def loss_and_grads(loss_fn, pairs, config, seed):
+    tape = ad.Tape()
+    params = BackendParams.init(6, 4, 3, np.random.default_rng(seed), tape=tape)
+    loss, selected = loss_fn(params, pairs, config)
+    tape.backward(loss)
+    return loss.item(), selected, {n: t.grad.copy() for n, t in params.parameters()}
+
+
+class TestBatchedForward:
+    # fixed before the batched forward was written: float64 round-off from
+    # a different summation order, far below any real gradient defect
+    RTOL = 1e-12
+
+    @given(m=st.integers(2, 4), half_k=st.integers(2, 3), top_n=st.integers(1, 40),
+           pooling=st.sampled_from(["attention", "average"]),
+           mode=st.sampled_from(tr.HARD_SELECTION_MODES), seed=st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_pair_reference(self, m, half_k, top_n, pooling, mode, seed):
+        rng = np.random.default_rng(seed)
+        k = 2 * half_k
+        pairs = expand_pairs(draw_batch(random_pool(rng, m + 1, half_k), m, k, rng))
+        config = tr.TrainConfig(hard_negative_top_n=top_n, pooling=pooling, hidden_dim=3,
+                                hard_selection=mode, speakers_per_batch=m,
+                                utterances_per_speaker=k)
+        loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, seed)
+        want, want_selected, want_grads = loss_and_grads(per_pair_batch_loss, pairs,
+                                                         config, seed)
+        assert selected == want_selected
+        assert abs(loss - want) <= self.RTOL * abs(want)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0,
+                                       atol=self.RTOL * np.max(np.abs(g)), err_msg=name)
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_spoofed_enrollment_content_cannot_leak(self, pooling):
+        """Replacing every spoofed row of a whole batch's enrollment side
+        with random content changes the loss and every gradient by exactly
+        0; the test side keeps the real rows."""
+        rng = np.random.default_rng(31)
+        pairs = expand_pairs(draw_batch(random_pool(rng, 5, 3), 4, 6, rng))
+        config = tr.TrainConfig(hard_negative_top_n=30, pooling=pooling, hidden_dim=3,
+                                speakers_per_batch=4, utterances_per_speaker=6)
+        spoofed = ~pairs.bonafide
+        swapped = pairs.enroll.embeddings.copy()
+        swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
+        fake = dataclasses.replace(
+            pairs, enroll=dataclasses.replace(pairs.enroll, embeddings=swapped))
+        assert not np.array_equal(fake.enroll.embeddings, pairs.test_asv)
+        loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, 8)
+        loss2, selected2, grads2 = loss_and_grads(tr.batch_loss, fake, config, 8)
+        assert loss == loss2 and selected == selected2
+        assert len(grads) == 13
+        for name in grads:
+            assert np.array_equal(grads[name], grads2[name]), name
 
 
 class TestTrain:
