@@ -193,6 +193,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(x + y, (a, lambda g: g), (b, lambda g: g))
 
 
+# older name for adding a 1 x cols bias row, kept for existing callers;
+# add broadcasts the row itself
+add_bias = add
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     x, y = _operands(a, b, "sub")
     return _op(x - y, (a, lambda g: g), (b, lambda g: -g))
@@ -241,13 +246,6 @@ def transpose(a: Tensor) -> Tensor:
     def swapped(x):
         return np.ascontiguousarray(np.swapaxes(x, -1, -2))
     return _op(swapped(a.value), (a, swapped))
-
-
-def add_bias(a: Tensor, bias: Tensor) -> Tensor:
-    """Add a 1 x cols bias row to every row of a."""
-    if bias.shape != (1, a.shape[-1]):
-        raise ShapeError(f"add_bias: bias {bias.shape} does not match columns of {a.shape}")
-    return _op(a.value + bias.value, (a, lambda g: g), (bias, lambda g: g))
 
 
 def tanh(a: Tensor) -> Tensor:

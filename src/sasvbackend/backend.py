@@ -294,7 +294,7 @@ def pool_enrollments(params: BackendParams,
     O = ad.zero_rows(ad.add(ad.matmul(A, V), E), stack.masked)
 
     # feed-forward self-attention pooling over the SDSA outputs
-    hidden = ad.tanh(ad.add_bias(ad.matmul(O, ad.transpose(params.Wf)), params.bf))
+    hidden = ad.tanh(ad.add(ad.matmul(O, ad.transpose(params.Wf)), params.bf))
     alpha = ad.softmax_masked(ad.row_dot(hidden, params.vf), stack.masked)
     return ad.weighted_mean(O, alpha)
 
@@ -361,14 +361,13 @@ class BatchScores:
     cos: Tensor
 
 
-def forward_batch(params: BackendParams, batch: TrialBatch, pooling: str = "attention",
-                  fusion=None) -> BatchScores:
+def forward_batch(params: BackendParams, batch: TrialBatch,
+                  pooling: str = "attention") -> BatchScores:
     """Full back-end pass over a trial batch: pool, both heads, fusion.
 
     Every enrollment set is pooled once and every test row goes through
     the CM head once; the ASV head and the fusion run per trial. pooling
-    selects attention pooling or the plain averaging ablation. fusion
-    stands in for fuse when given (same signature).
+    selects attention pooling or the plain averaging ablation.
     """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}, expected one of {POOLING_MODES}")
@@ -380,6 +379,6 @@ def forward_batch(params: BackendParams, batch: TrialBatch, pooling: str = "atte
         params, Tensor(batch.test_asv[batch.test_row]), ad.gather(h, batch.enroll_set))
     s_cm, p_cm = cm_probability(params, Tensor(batch.test_cm))
     p_cm = ad.gather(p_cm, batch.test_row)
-    s, p = (fusion or fuse)(params, p_cm, p_asv)
+    s, p = fuse(params, p_cm, p_asv)
     return BatchScores(p=p, p_asv=p_asv, p_cm=p_cm, s=s, s_asv=s_asv,
                        s_cm=ad.gather(s_cm, batch.test_row), cos=cos)

@@ -30,9 +30,12 @@ from .metrics import ScoreRecord, score_sum_baseline
 
 SCORERS = ("fused", "asv_only", "score_sum")
 
-# trials per forward pass: the per-trial rows gathered for a whole eval list
-# would otherwise dominate peak memory
+# limits of one forward pass, which bound peak memory: trials, whose
+# gathered per-trial rows would otherwise dominate on a long trial list,
+# and padded enrollment rows (distinct sets x widest set), which dominate
+# when sets are long and rarely shared
 SCORE_CHUNK = 1024
+SCORE_POOL_ROWS = 1024
 
 
 def _index(keys) -> tuple[dict, np.ndarray]:
@@ -62,29 +65,48 @@ def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
                       EnrollmentStack(enroll, members, masked), test_row, enroll_set)
 
 
+def _chunks(trials: TrialList):
+    """Trial positions for each forward pass, taken in order of enrollment
+    set size so that shorter sets need little padding."""
+    chunk: list[int] = []
+    sets: set = set()
+    for i in sorted(range(len(trials)), key=lambda i: len(trials[i].enroll_ids)):
+        t = trials[i]
+        key = (t.claimed_speaker, t.enroll_ids)
+        rows = (len(sets) + (key not in sets)) * len(t.enroll_ids)
+        if chunk and (len(chunk) == SCORE_CHUNK or rows > SCORE_POOL_ROWS):
+            yield chunk
+            chunk, sets = [], set()
+        chunk.append(i)
+        sets.add(key)
+    if chunk:
+        yield chunk
+
+
 def score_trials(params: BackendParams, trials: TrialList, asv_map, cm_map,
                  pooling: str = "attention", scorer: str = "fused") -> list[ScoreRecord]:
     """Produce one ScoreRecord per trial, in trial order.
 
-    Trials are scored SCORE_CHUNK at a time; a trial's score does not
-    depend on the other trials in its chunk.
+    Trials are scored in forward passes of at most SCORE_CHUNK trials and
+    SCORE_POOL_ROWS padded enrollment rows. A trial's score matches scoring
+    it on its own to round-off (about 1e-16 relative), not to the last bit.
     """
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
     resolve_trials(trials, asv_map, cm_map)
     params = params.detach()  # never record scoring on a training tape
-    records = []
-    for start in range(0, len(trials), SCORE_CHUNK):
-        chunk = trials[start:start + SCORE_CHUNK]
-        # fusion is looked up in this module, so substituting scoring.fuse
-        # (as the benchmark's wrong-score check does) reaches the scores
-        cols = forward_batch(params, _trial_batch(chunk, asv_map, cm_map), pooling, fusion=fuse)
+    scores = np.empty(len(trials))
+    for chunk in _chunks(trials):
+        cols = forward_batch(params, _trial_batch([trials[i] for i in chunk], asv_map, cm_map),
+                             pooling)
         if scorer == "fused":
-            scores = cols.p.value
+            # fused through this module's fuse, so a substitute for it
+            # reaches the scores
+            _, p = fuse(params, cols.p_cm, cols.p_asv)
+            scores[chunk] = p.value
         elif scorer == "asv_only":
-            scores = cols.p_asv.value
+            scores[chunk] = cols.p_asv.value
         else:
-            scores = score_sum_baseline(cols.cos.value, cols.s_cm.value)
-        records += [ScoreRecord(t.claimed_speaker, t.test_id, score, t.label)
-                    for t, score in zip(chunk, np.ravel(scores).tolist())]
-    return records
+            scores[chunk] = score_sum_baseline(cols.cos.value, cols.s_cm.value)
+    return [ScoreRecord(t.claimed_speaker, t.test_id, score, t.label)
+            for t, score in zip(trials, scores.tolist())]

@@ -193,7 +193,7 @@ class TestBackward:
 
         def forward(params):
             W_, b_, v_, c_ = params
-            h = ad.tanh(ad.add_bias(ad.matmul(ad.zero_rows(x.detach(), mask), W_), b_))
+            h = ad.tanh(ad.add(ad.matmul(ad.zero_rows(x.detach(), mask), W_), b_))
             scores = ad.transpose(ad.matmul(h, ad.transpose(v_)))
             alpha = ad.softmax_masked(scores, mask)
             pooled = ad.matmul(alpha, h)
@@ -232,7 +232,7 @@ class TestBackward:
             P = ad.gather(ad.add(ad.matmul(X, W_), u_), members, ~masked)
             A = ad.softmax_masked(ad.matmul(P, ad.transpose(P)), masked[:, None, :])
             O = ad.zero_rows(ad.tanh(ad.matmul(A, P)), masked)
-            alpha = ad.softmax_masked(ad.row_dot(ad.add_bias(O, u_), u_), masked)
+            alpha = ad.softmax_masked(ad.row_dot(ad.add(O, u_), u_), masked)
             h = ad.gather(ad.weighted_mean(O, alpha), pair_set)
             cos = ad.div(ad.row_dot(q, h), ad.mul(ad.norm(q), ad.norm(h)))
             p = ad.sigmoid(ad.add(ad.mul(c_, cos), ad.sub(c_, ad.Tensor(0.3))))

@@ -7,6 +7,7 @@ from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
 from sasvbackend import data as dio
 from sasvbackend import metrics as mt
+from sasvbackend import scoring
 from sasvbackend.scoring import score_trials
 
 
@@ -73,6 +74,66 @@ def test_score_sum_is_cos_plus_cm_logit(setup):
     cos, _, _ = bk.asv_probability(params, ad.Tensor(ds.asv_embeddings[trial.test_id]), pooled)
     s_cm, _ = bk.cm_probability(params, ad.Tensor(ds.cm_embeddings[trial.test_id]))
     assert records[0].score == cos.item() + s_cm.item()
+
+
+def _single_trial_scores(params, trial, asv_map, cm_map, pooling):
+    """Every scorer's value for one trial, composed pool -> heads -> fuse."""
+    enroll = bk.EnrollmentSet(
+        trial.claimed_speaker,
+        tuple(bk.Embedding(e, "asv", asv_map[e]) for e in trial.enroll_ids),
+        (True,) * len(trial.enroll_ids),
+    )
+    h = bk.pool_enrollments(params, enroll) if pooling == "attention" else bk.average_pool(enroll)
+    cos, _, p_asv = bk.asv_probability(params, ad.Tensor(asv_map[trial.test_id]), h)
+    s_cm, p_cm = bk.cm_probability(params, ad.Tensor(cm_map[trial.test_id]))
+    _, p = bk.fuse(params, p_cm, p_asv)
+    return {"fused": p.item(), "asv_only": p_asv.item(), "score_sum": cos.item() + s_cm.item()}
+
+
+def _mixed_size_trials(ds, sizes=(1, 3, 7, 7, 1, 3, 1, 7)):
+    ids = sorted(ds.asv_embeddings)
+    return [dio.Trial(f"spk{j}", tuple(ids[3 * j:3 * j + n]), t.test_id, t.label)
+            for j, (n, t) in enumerate(zip(sizes, ds.trials_eval))]
+
+
+@pytest.mark.parametrize("pooling", ["attention", "average"])
+@pytest.mark.parametrize("chunk,rows", [(2, 1024), (3, 1024), (1024, 1024), (1024, 8)])
+def test_mixed_set_sizes_match_single_trial_scores(setup, monkeypatch, pooling, chunk, rows):
+    # enrollment sets of 1, 3 and 7 entries, scored in order of size: with
+    # 2 or 3 trials per forward pass some passes mix sizes (1 with 3, 3 with
+    # 7), with one pass every shorter set is padded to 7 entries, and an
+    # 8-row limit splits passes by size
+    ds, params = setup
+    trials = _mixed_size_trials(ds)
+    monkeypatch.setattr(scoring, "SCORE_CHUNK", chunk)
+    monkeypatch.setattr(scoring, "SCORE_POOL_ROWS", rows)
+    expected = [_single_trial_scores(params, t, ds.asv_embeddings, ds.cm_embeddings, pooling)
+                for t in trials]
+    for scorer in scoring.SCORERS:
+        records = score_trials(params, trials, ds.asv_embeddings, ds.cm_embeddings,
+                               pooling=pooling, scorer=scorer)
+        assert [r.test_utterance for r in records] == [t.test_id for t in trials]
+        got = np.array([r.score for r in records])
+        want = np.array([e[scorer] for e in expected])
+        # padding changes the inner length of the batched products, so
+        # equality holds to round-off, not to the last bit
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_forward_passes_respect_both_limits(setup, monkeypatch):
+    ds, _ = setup
+    trials = _mixed_size_trials(ds, sizes=(1, 3, 7, 7, 1, 3, 1, 7, 3, 1, 1, 12))
+    monkeypatch.setattr(scoring, "SCORE_CHUNK", 3)
+    monkeypatch.setattr(scoring, "SCORE_POOL_ROWS", 8)
+    chunks = list(scoring._chunks(trials))
+    assert sorted(i for c in chunks for i in c) == list(range(len(trials)))
+    widths = [len(trials[i].enroll_ids) for c in chunks for i in c]
+    assert widths == sorted(widths)
+    for c in chunks:
+        assert len(c) <= 3
+        sets = {(trials[i].claimed_speaker, trials[i].enroll_ids) for i in c}
+        # a set wider than the limit gets a pass of its own
+        assert len(sets) == 1 or len(sets) * max(len(k[1]) for k in sets) <= 8
 
 
 def test_unknown_scorer_rejected(setup):
