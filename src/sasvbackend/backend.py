@@ -135,10 +135,22 @@ def _stack(enroll: "EnrollmentSet | EnrollmentStack") -> EnrollmentStack:
     return EnrollmentStack(enroll.matrix(), members, enroll.spoof_mask()[None])
 
 
-_PARAM_NAMES = (
-    "Wq", "Wk", "Wv", "Wf", "bf", "vf",
-    "a", "b", "w_cm", "b_cm", "w1", "w2", "v",
-)
+def _shapes(d_a: int, d_c: int, h_f: int) -> dict[str, tuple[int, int]]:
+    """Every parameter's shape, in parameter order."""
+    return {
+        "Wq": (d_a, d_a), "Wk": (d_a, d_a), "Wv": (d_a, d_a),
+        "Wf": (h_f, d_a), "bf": (1, h_f), "vf": (1, h_f),
+        "a": (1, 1), "b": (1, 1),
+        "w_cm": (1, d_c), "b_cm": (1, 1),
+        "w1": (1, 1), "w2": (1, 1), "v": (1, 1),
+    }
+
+
+_PARAM_NAMES = tuple(_shapes(1, 1, 1))
+
+# start values of the parameters that init does not draw at random; the
+# fusion starts at w1 = w2 = 1, v = -1 so that fuse(0.5, 0.5) gives 0.5
+_FIXED_INIT = {"bf": 0.0, "a": 1.0, "b": 0.0, "b_cm": 0.0, "w1": 1.0, "w2": 1.0, "v": -1.0}
 
 
 class BackendParams:
@@ -152,7 +164,7 @@ class BackendParams:
         self.d_a = d_a
         self.d_c = d_c
         self.h_f = h_f
-        expected = self._shapes(d_a, d_c, h_f)
+        expected = _shapes(d_a, d_c, h_f)
         for name in _PARAM_NAMES:
             t = tensors[name]
             if t.shape != expected[name]:
@@ -161,43 +173,19 @@ class BackendParams:
                 )
             setattr(self, name, t)
 
-    @staticmethod
-    def _shapes(d_a: int, d_c: int, h_f: int) -> dict[str, tuple[int, int]]:
-        return {
-            "Wq": (d_a, d_a), "Wk": (d_a, d_a), "Wv": (d_a, d_a),
-            "Wf": (h_f, d_a), "bf": (1, h_f), "vf": (1, h_f),
-            "a": (1, 1), "b": (1, 1),
-            "w_cm": (1, d_c), "b_cm": (1, 1),
-            "w1": (1, 1), "w2": (1, 1), "v": (1, 1),
-        }
-
     @classmethod
     def init(cls, d_a: int, d_c: int, h_f: int, rng: np.random.Generator,
              tape: Tape | None = None) -> "BackendParams":
-        """Fresh parameters: uniform(+-1/sqrt(fan_in)) weights, neutral heads.
-
-        The fusion starts at w1 = w2 = 1, v = -1 so that fuse(0.5, 0.5)
-        gives probability 0.5.
-        """
-        def uniform(shape, fan_in):
-            bound = 1.0 / math.sqrt(fan_in)
-            return rng.uniform(-bound, bound, size=shape)
-
-        values = {
-            "Wq": uniform((d_a, d_a), d_a),
-            "Wk": uniform((d_a, d_a), d_a),
-            "Wv": uniform((d_a, d_a), d_a),
-            "Wf": uniform((h_f, d_a), d_a),
-            "bf": np.zeros((1, h_f)),
-            "vf": uniform((1, h_f), h_f),
-            "a": np.array([[1.0]]),
-            "b": np.array([[0.0]]),
-            "w_cm": uniform((1, d_c), d_c),
-            "b_cm": np.array([[0.0]]),
-            "w1": np.array([[1.0]]),
-            "w2": np.array([[1.0]]),
-            "v": np.array([[-1.0]]),
-        }
+        """Fresh parameters: the _FIXED_INIT start values, every other
+        weight uniform(+-1/sqrt(fan_in)) with fan_in its shape's columns,
+        drawn in parameter order."""
+        values = {}
+        for name, shape in _shapes(d_a, d_c, h_f).items():
+            if name in _FIXED_INIT:
+                values[name] = np.full(shape, _FIXED_INIT[name])
+            else:
+                bound = 1.0 / math.sqrt(shape[1])
+                values[name] = rng.uniform(-bound, bound, size=shape)
         make = tape.parameter if tape is not None else Tensor
         return cls(d_a, d_c, h_f, {k: make(v) for k, v in values.items()})
 
@@ -245,7 +233,7 @@ class BackendParams:
             version, d_a, d_c, h_f = struct.unpack("<IIII", read(16, "the header"))
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"{path}: unsupported checkpoint version {version}")
-            expected = cls._shapes(d_a, d_c, h_f)
+            expected = _shapes(d_a, d_c, h_f)
             tensors = {}
             for i in range(len(_PARAM_NAMES)):
                 (name_len,) = struct.unpack("<I", read(4, f"parameter {i}"))

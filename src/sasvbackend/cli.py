@@ -11,12 +11,13 @@ Exit codes are stable:
 
 Every option can also be supplied through ``--config FILE`` holding
 ``key=value`` lines (keys are the long option names); explicit flags win
-over the config file, and unknown keys are rejected.
+over the config file, and unknown keys and bad values are rejected.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -46,20 +47,36 @@ def _percent(value) -> str:
 
 
 def _report_kv(report) -> str:
-    def fmt(v):
-        return "absent" if v is None else repr(v)
-    lines = [
-        f"sv_eer={fmt(report.sv_eer)}",
-        f"spf_eer={fmt(report.spf_eer)}",
-        f"sasv_eer={fmt(report.sasv_eer)}",
-        f"sv_threshold={fmt(report.sv_threshold)}",
-        f"spf_threshold={fmt(report.spf_threshold)}",
-        f"sasv_threshold={fmt(report.sasv_threshold)}",
-        f"n_target={report.n_target}",
-        f"n_nontarget={report.n_nontarget}",
-        f"n_spoof={report.n_spoof}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key}={'absent' if value is None else repr(value)}\n"
+                   for key, value in dataclasses.asdict(report).items())
+
+
+# config fields whose option is not named after the field
+_FLAGS = {
+    "d_a": "asv-dim",
+    "d_c": "cm-dim",
+    "spoof_speaker_fidelity": "spoof-fidelity",
+    "lr_decay_per_epoch": "lr-decay",
+    "hard_negative_top_n": "top-n",
+}
+_CHOICES = {"pooling": POOLING_MODES, "hard_selection": HARD_SELECTION_MODES}
+
+
+def _flag(field: dataclasses.Field) -> str:
+    return _FLAGS.get(field.name, field.name.replace("_", "-"))
+
+
+def _add_config_options(parser: argparse.ArgumentParser, config_cls) -> None:
+    """One option per field of config_cls, defaulting to the field's default."""
+    for field in dataclasses.fields(config_cls):
+        parser.add_argument("--" + _flag(field), type=type(field.default),
+                            default=field.default, choices=_CHOICES.get(field.name),
+                            help=f"{config_cls.__name__}.{field.name} (default %(default)s)")
+
+
+def _config_from_args(config_cls, args):
+    return config_cls(**{f.name: getattr(args, _flag(f).replace("-", "_"))
+                         for f in dataclasses.fields(config_cls)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,18 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="generate a synthetic embedding corpus")
     synth.add_argument("--out", required=True, help="output directory")
-    synth.add_argument("--config", help="key=value config file")
-    synth.add_argument("--seed", type=int, default=0)
-    synth.add_argument("--train-speakers", type=int, default=40)
-    synth.add_argument("--dev-speakers", type=int, default=10)
-    synth.add_argument("--eval-speakers", type=int, default=20)
-    synth.add_argument("--bonafide-per-speaker", type=int, default=20)
-    synth.add_argument("--spoof-per-speaker", type=int, default=20)
-    synth.add_argument("--asv-dim", type=int, default=96)
-    synth.add_argument("--cm-dim", type=int, default=24)
-    synth.add_argument("--asv-noise", type=float, default=0.15)
-    synth.add_argument("--spoof-fidelity", type=float, default=0.9)
-    synth.add_argument("--cm-separation", type=float, default=6.0)
+    _add_config_options(synth, dio.SynthConfig)
 
     tr = sub.add_parser("train", help="train the back-end on a manifest")
     tr.add_argument("--manifest", required=True)
@@ -90,21 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--cm-embeddings", required=True)
     tr.add_argument("--out", required=True, help="checkpoint/log directory")
     tr.add_argument("--dev-trials", help="trial list for per-epoch dev EERs")
-    tr.add_argument("--config", help="key=value config file")
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--epochs", type=int, default=40)
-    tr.add_argument("--learning-rate", type=float, default=1e-4)
-    tr.add_argument("--momentum", type=float, default=0.9)
-    tr.add_argument("--weight-decay", type=float, default=1e-5)
-    tr.add_argument("--lr-decay", type=float, default=0.95)
-    tr.add_argument("--top-n", type=int, default=100,
-                    help="hard negatives kept per batch")
-    tr.add_argument("--speakers-per-batch", type=int, default=16)
-    tr.add_argument("--utterances-per-speaker", type=int, default=10)
-    tr.add_argument("--pooling", choices=POOLING_MODES, default="attention")
-    tr.add_argument("--hidden-dim", type=int, default=64)
-    tr.add_argument("--hard-selection", choices=HARD_SELECTION_MODES,
-                    default="negatives_only")
+    _add_config_options(tr, TrainConfig)
 
     sc = sub.add_parser("score", help="score a trial list with a checkpoint")
     sc.add_argument("--checkpoint", required=True)
@@ -112,82 +104,67 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--asv-embeddings", required=True)
     sc.add_argument("--cm-embeddings", required=True)
     sc.add_argument("--out", required=True, help="score file to write")
-    sc.add_argument("--config", help="key=value config file")
     sc.add_argument("--scorer", choices=SCORERS, default="fused")
     sc.add_argument("--pooling", choices=POOLING_MODES, default="attention")
 
     ev = sub.add_parser("evaluate", help="compute EERs from a score file")
     ev.add_argument("--scores", required=True)
     ev.add_argument("--out", help="key-value report file")
-    ev.add_argument("--config", help="key=value config file")
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient check")
     gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--config", help="key=value config file")
     gc.add_argument("--asv-dim", type=int, default=8)
     gc.add_argument("--cm-dim", type=int, default=6)
     gc.add_argument("--hidden-dim", type=int, default=4)
     gc.add_argument("--speakers", type=int, default=2)
     gc.add_argument("--utterances", type=int, default=4)
     gc.add_argument("--pooling", choices=POOLING_MODES, default="attention")
+    for subparser in sub.choices.values():
+        subparser.add_argument("--config", help="key=value config file")
     return parser
 
 
-def _find_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fill subcommand defaults from --config, keeping explicit flags on top."""
-    probe = _find_config_path(argv)
-    if probe is None:
-        return argv
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config file fills the subcommand's defaults, so
+    explicit flags win over it."""
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise dio.MalformedLineError(f"{args.config}: {exc}") from None
     pairs = {}
-    for lineno, line in enumerate(Path(probe).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise dio.MalformedLineError(f"{probe}:{lineno}: expected key=value")
+            raise dio.MalformedLineError(f"{args.config}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        pairs[key.strip().replace("-", "_")] = value.strip()
+        pairs[key.strip().replace("-", "_")] = (f"{args.config}:{lineno}", value.strip())
 
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    if not argv or argv[0] not in sub_actions[0].choices:
-        return argv  # let argparse report the usage problem
-    subparser = sub_actions[0].choices[argv[0]]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    subparser = sub.choices[args.command]
     known = {a.dest: a for a in subparser._actions}
     unknown = sorted(set(pairs) - set(known))
     if unknown:
-        raise ValueError(f"{probe}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     defaults = {}
-    for key, raw in pairs.items():
+    for key, (where, raw) in pairs.items():
         action = known[key]
-        defaults[key] = action.type(raw) if action.type else raw
+        try:
+            defaults[key] = action.type(raw) if action.type else raw
+            if action.choices is not None and defaults[key] not in action.choices:
+                raise ValueError(f"{raw!r} is not one of {', '.join(action.choices)}")
+        except ValueError as exc:
+            raise dio.MalformedLineError(f"{where}: {key}: {exc}") from None
     subparser.set_defaults(**defaults)
-    return argv
+    return parser.parse_args(argv)
 
 
 def cmd_synth(args) -> int:
-    config = dio.SynthConfig(
-        train_speakers=args.train_speakers,
-        dev_speakers=args.dev_speakers,
-        eval_speakers=args.eval_speakers,
-        bonafide_per_speaker=args.bonafide_per_speaker,
-        spoof_per_speaker=args.spoof_per_speaker,
-        d_a=args.asv_dim,
-        d_c=args.cm_dim,
-        asv_noise=args.asv_noise,
-        spoof_speaker_fidelity=args.spoof_fidelity,
-        cm_separation=args.cm_separation,
-        seed=args.seed,
-    )
-    dataset = dio.generate_synthetic(config)
+    dataset = dio.generate_synthetic(_config_from_args(dio.SynthConfig, args))
     paths = dio.write_synthetic(dataset, args.out)
     for p in paths:
         print(p)
@@ -196,6 +173,8 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     manifest = dio.load_manifest(args.manifest)
+    if not manifest.utterances:
+        raise dio.DataError(f"{args.manifest}: the manifest lists no utterances")
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
     records = dio.build_records(manifest, asv_map, cm_map)
@@ -204,20 +183,7 @@ def cmd_train(args) -> int:
         trials = dio.load_trials(args.dev_trials)
         dio.resolve_trials(trials, asv_map, cm_map)
         dev_bundle = (trials, asv_map, cm_map)
-    config = TrainConfig(
-        learning_rate=args.learning_rate,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        epochs=args.epochs,
-        lr_decay_per_epoch=args.lr_decay,
-        hard_negative_top_n=args.top_n,
-        speakers_per_batch=args.speakers_per_batch,
-        utterances_per_speaker=args.utterances_per_speaker,
-        seed=args.seed,
-        pooling=args.pooling,
-        hidden_dim=args.hidden_dim,
-        hard_selection=args.hard_selection,
-    )
+    config = _config_from_args(TrainConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     result = train(records, config, checkpoint_dir=out, log_path=out / "train.log",
@@ -278,8 +244,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         return _HANDLERS[args.command](args)
     except dio.UnresolvedIdError as exc:
         print(f"error: {exc}", file=sys.stderr)

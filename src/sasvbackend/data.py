@@ -7,11 +7,15 @@ All formats are line-oriented text so runs can be inspected and diffed:
   trials       claimed_speaker<TAB>enroll_id1,enroll_id2,...<TAB>test_id<TAB>label
   scores       claimed_speaker<TAB>test_utterance<TAB>score<TAB>label
 
-Floats are written with repr so that save(load(f)) is value-exact. The
-synthetic generator stands in for the out-of-scope pre-trained encoders: it
-plants spoofed speaker embeddings near the target speaker's centroid so an
-ASV-only scorer accepts them, while the countermeasure space keeps the two
-classes linearly separable.
+Floats are written with repr so that save(load(f)) is value-exact. The four
+loaders share one line reader. Blank lines are skipped; a wrong field count,
+a value that is not a finite float, a bad label or a repeated id raises a
+DataError whose message starts with "path:line".
+
+The synthetic generator stands in for the out-of-scope pre-trained encoders:
+it plants spoofed speaker embeddings near the target speaker's centroid so
+an ASV-only scorer accepts them, while the countermeasure space keeps the
+two classes linearly separable.
 """
 
 from __future__ import annotations
@@ -80,8 +84,6 @@ class ManifestEntry:
 @dataclass(frozen=True)
 class DatasetManifest:
     utterances: tuple[ManifestEntry, ...]
-    asv_embedding_file: str | None = None
-    cm_embedding_file: str | None = None
 
 
 @dataclass(frozen=True)
@@ -99,134 +101,123 @@ class Trial:
 TrialList = list[Trial]
 
 
+def _read_lines(path, sep: str, n_fields: int, at_least: bool = False):
+    """Yield ("path:line", fields) for every non-blank line of a text file,
+    where fields is the line split on sep: exactly n_fields of them, or at
+    least n_fields when at_least is set. The prefix starts every error."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                where = f"{path}:{lineno}"
+                fields = line.split(sep)
+                if len(fields) < n_fields if at_least else len(fields) != n_fields:
+                    raise MalformedLineError(f"{where}: expected {'at least ' if at_least else ''}"
+                                             f"{n_fields} fields separated by {sep!r}")
+                yield where, fields
+    except UnicodeDecodeError as exc:
+        raise MalformedLineError(f"{path}: {exc}") from None
+
+
+def _write_lines(path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        for line in lines:
+            f.write(line + "\n")
+
+
 def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Read an embedding file into an id -> float64 vector map."""
+    """Read an embedding file into an id -> finite float64 vector map."""
     out: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split(" ")
-            if len(fields) < 2:
-                raise MalformedLineError(f"{path}:{lineno}: expected id plus values")
-            utt_id = fields[0]
-            try:
-                values = np.array([float(x) for x in fields[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise MalformedLineError(f"{path}:{lineno}: {exc}") from None
-            if dim is None:
-                dim = values.size
-            elif values.size != dim:
-                raise DimensionMismatchError(
-                    f"{path}:{lineno}: dimension {values.size} differs from {dim}"
-                )
-            if utt_id in out:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate utterance id {utt_id!r}")
-            out[utt_id] = values
+    for where, fields in _read_lines(path, " ", 2, at_least=True):
+        utt_id = fields[0]
+        try:
+            values = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedLineError(f"{where}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise MalformedLineError(f"{where}: non-finite value in embedding {utt_id!r}")
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise DimensionMismatchError(f"{where}: dimension {values.size} differs from {dim}")
+        if utt_id in out:
+            raise DuplicateIdError(f"{where}: duplicate utterance id {utt_id!r}")
+        out[utt_id] = values
     return out
 
 
 def save_embeddings(embeddings: dict[str, np.ndarray], path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for utt_id, values in embeddings.items():
-            f.write(utt_id + " " + " ".join(repr(float(v)) for v in values) + "\n")
+    _write_lines(path, (utt_id + " " + " ".join(repr(float(v)) for v in values)
+                        for utt_id, values in embeddings.items()))
 
 
 def load_manifest(path) -> DatasetManifest:
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise MalformedLineError(f"{path}:{lineno}: expected 3 tab-separated fields")
-            speaker, utt, flag = fields
-            if flag not in ("bonafide", "spoof"):
-                raise BadLabelError(f"{path}:{lineno}: bad bonafide flag {flag!r}")
-            if utt in seen:
-                raise DuplicateIdError(f"{path}:{lineno}: duplicate utterance id {utt!r}")
-            seen.add(utt)
-            entries.append(ManifestEntry(speaker, utt, flag == "bonafide"))
+    for where, (speaker, utt, flag) in _read_lines(path, "\t", 3):
+        if flag not in ("bonafide", "spoof"):
+            raise BadLabelError(f"{where}: bad bonafide flag {flag!r}")
+        if utt in seen:
+            raise DuplicateIdError(f"{where}: duplicate utterance id {utt!r}")
+        seen.add(utt)
+        entries.append(ManifestEntry(speaker, utt, flag == "bonafide"))
     return DatasetManifest(tuple(entries))
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for e in manifest.utterances:
-            flag = "bonafide" if e.bonafide else "spoof"
-            f.write(f"{e.speaker_id}\t{e.utterance_id}\t{flag}\n")
+    _write_lines(path, (f"{e.speaker_id}\t{e.utterance_id}\t"
+                        f"{'bonafide' if e.bonafide else 'spoof'}" for e in manifest.utterances))
 
 
 def load_trials(path) -> TrialList:
     trials = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedLineError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            claimed, enroll_csv, test_id, label = fields
-            enroll_ids = tuple(e for e in enroll_csv.split(",") if e)
-            if not enroll_ids:
-                raise MalformedLineError(f"{path}:{lineno}: empty enrollment list")
-            if label not in TRIAL_LABELS:
-                raise BadLabelError(f"{path}:{lineno}: bad trial label {label!r}")
-            trials.append(Trial(claimed, enroll_ids, test_id, label))
+    for where, (claimed, enroll_csv, test_id, label) in _read_lines(path, "\t", 4):
+        enroll_ids = tuple(e for e in enroll_csv.split(",") if e)
+        if not enroll_ids:
+            raise MalformedLineError(f"{where}: empty enrollment list")
+        if label not in TRIAL_LABELS:
+            raise BadLabelError(f"{where}: bad trial label {label!r}")
+        trials.append(Trial(claimed, enroll_ids, test_id, label))
     return trials
 
 
 def save_trials(trials: TrialList, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for t in trials:
-            f.write(f"{t.claimed_speaker}\t{','.join(t.enroll_ids)}\t{t.test_id}\t{t.label}\n")
+    _write_lines(path, (f"{t.claimed_speaker}\t{','.join(t.enroll_ids)}\t{t.test_id}\t{t.label}"
+                        for t in trials))
 
 
 def load_scores(path) -> list[ScoreRecord]:
     records = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise MalformedLineError(f"{path}:{lineno}: expected 4 tab-separated fields")
-            claimed, test_id, score_text, label = fields
-            if label not in TRIAL_LABELS:
-                raise BadLabelError(f"{path}:{lineno}: bad trial label {label!r}")
-            try:
-                score = float(score_text)
-            except ValueError:
-                raise MalformedLineError(f"{path}:{lineno}: bad score {score_text!r}") from None
-            records.append(ScoreRecord(claimed, test_id, score, label))
+    for where, (claimed, test_id, score_text, label) in _read_lines(path, "\t", 4):
+        try:
+            records.append(ScoreRecord(claimed, test_id, float(score_text), label))
+        except ValueError as exc:  # a bad score, a non-finite score or a bad label
+            raise MalformedLineError(f"{where}: {exc}") from None
     return records
 
 
 def save_scores(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for r in records:
-            f.write(f"{r.claimed_speaker}\t{r.test_utterance}\t{repr(r.score)}\t{r.label}\n")
+    _write_lines(path, (f"{r.claimed_speaker}\t{r.test_utterance}\t{repr(r.score)}\t{r.label}"
+                        for r in records))
 
 
-def _missing_ids(wanted, available) -> list[str]:
-    return [w for w in wanted if w not in available]
+def _check_resolved(what: str, *needs) -> None:
+    """Raise UnresolvedIdError naming up to 10 ids that lack an embedding;
+    each of needs is (ids, embedding map) and every id must be in its map."""
+    missing = sorted({i for ids, available in needs for i in ids if i not in available})
+    if missing:
+        raise UnresolvedIdError(f"{len(missing)} {what} ids missing embeddings: "
+                                f"{', '.join(missing[:10])}")
 
 
 def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
                   cm_map: dict[str, np.ndarray]) -> list[UtteranceRecord]:
     """Join a manifest with both embedding maps into utterance records."""
-    missing = _missing_ids([e.utterance_id for e in manifest.utterances], asv_map)
-    missing += _missing_ids([e.utterance_id for e in manifest.utterances], cm_map)
-    if missing:
-        shown = ", ".join(sorted(set(missing))[:10])
-        raise UnresolvedIdError(f"{len(set(missing))} manifest ids missing embeddings: {shown}")
+    ids = [e.utterance_id for e in manifest.utterances]
+    _check_resolved("manifest", (ids, asv_map), (ids, cm_map))
     return [
         UtteranceRecord(
             speaker_id=e.speaker_id,
@@ -242,15 +233,9 @@ def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
 def resolve_trials(trials: TrialList, asv_map, cm_map) -> None:
     """Raise UnresolvedIdError (listing up to 10 ids) if any trial references
     an utterance without the embeddings it needs."""
-    missing = []
-    for t in trials:
-        missing += _missing_ids(t.enroll_ids, asv_map)
-        if t.test_id not in asv_map or t.test_id not in cm_map:
-            missing.append(t.test_id)
-    if missing:
-        unique = sorted(set(missing))
-        shown = ", ".join(unique[:10])
-        raise UnresolvedIdError(f"{len(unique)} trial ids missing embeddings: {shown}")
+    tests = [t.test_id for t in trials]
+    _check_resolved("trial", ([i for t in trials for i in t.enroll_ids], asv_map),
+                    (tests, asv_map), (tests, cm_map))
 
 
 @dataclass(frozen=True)
@@ -314,11 +299,6 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
             f"need more than {ENROLL_PER_SPEAKER} bona-fide utterances per speaker "
             f"to enroll {ENROLL_PER_SPEAKER} and still have target tests"
         )
-    for name, count in (("train_speakers", config.train_speakers),
-                        ("dev_speakers", config.dev_speakers),
-                        ("eval_speakers", config.eval_speakers)):
-        if count < 2:
-            raise InsufficientDataError(f"{name} must be at least 2 for nontarget trials")
 
     rng = np.random.default_rng(config.seed)
     cm_shift = np.zeros(config.d_c)
@@ -336,6 +316,9 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
         ("dev", "dev", config.dev_speakers),
         ("eval", "evl", config.eval_speakers),
     ):
+        if n_speakers < 2:
+            raise InsufficientDataError(
+                f"{split}_speakers must be at least 2 for nontarget trials")
         split_speakers: list[tuple[str, list[str], list[str]]] = []
         for s in range(n_speakers):
             speaker = f"{prefix}{s:03d}"
@@ -405,24 +388,21 @@ def generate_synthetic(config: SynthConfig) -> SyntheticDataset:
     )
 
 
-SYNTH_FILES = (
-    "manifest.tsv",
-    "asv_embeddings.txt",
-    "cm_embeddings.txt",
-    "trials_train.tsv",
-    "trials_dev.tsv",
-    "trials_eval.tsv",
-)
+# file name -> (writer, SyntheticDataset field it writes)
+SYNTH_FILES = {
+    "manifest.tsv": (save_manifest, "manifest"),
+    "asv_embeddings.txt": (save_embeddings, "asv_embeddings"),
+    "cm_embeddings.txt": (save_embeddings, "cm_embeddings"),
+    "trials_train.tsv": (save_trials, "trials_train"),
+    "trials_dev.tsv": (save_trials, "trials_dev"),
+    "trials_eval.tsv": (save_trials, "trials_eval"),
+}
 
 
 def write_synthetic(dataset: SyntheticDataset, out_dir) -> list[Path]:
     """Write the six dataset files into out_dir; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    save_manifest(dataset.manifest, out / "manifest.tsv")
-    save_embeddings(dataset.asv_embeddings, out / "asv_embeddings.txt")
-    save_embeddings(dataset.cm_embeddings, out / "cm_embeddings.txt")
-    save_trials(dataset.trials_train, out / "trials_train.tsv")
-    save_trials(dataset.trials_dev, out / "trials_dev.tsv")
-    save_trials(dataset.trials_eval, out / "trials_eval.tsv")
+    for name, (save, field) in SYNTH_FILES.items():
+        save(getattr(dataset, field), out / name)
     return [out / name for name in SYNTH_FILES]

@@ -76,15 +76,13 @@ class PairBatch(TrialBatch, Sequence):
 
     Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
     holds utterance j of speaker l, and enrollment set n*K + j is speaker n
-    without slot j. Pair i tests row test_row[i] against speaker
-    enroll_speaker[i] enrolled without slot excluded_slot[i]; positive[i]
-    is its label. Indexing or iterating yields TrainingPair views.
+    without slot j. Pair i tests row test_row[i] against enrollment set
+    enroll_set[i]; positive[i] is its label. Indexing or iterating yields
+    TrainingPair views.
     """
 
     batch: MiniBatch
     bonafide: np.ndarray
-    enroll_speaker: np.ndarray
-    excluded_slot: np.ndarray
     positive: np.ndarray
 
     def __len__(self) -> int:
@@ -93,9 +91,10 @@ class PairBatch(TrialBatch, Sequence):
     def __getitem__(self, i: int) -> TrainingPair:
         i = range(len(self))[i]
         k = self.batch.k
-        test_row, slot = int(self.test_row[i]), int(self.excluded_slot[i])
+        test_row = int(self.test_row[i])
+        speaker, slot = divmod(int(self.enroll_set[i]), k)
         test = self.batch.speakers[test_row // k].utterances[test_row % k]
-        block = self.batch.speakers[int(self.enroll_speaker[i])]
+        block = self.batch.speakers[speaker]
         kept = [u for j, u in enumerate(block.utterances) if j != slot]
         enroll = EnrollmentSet(block.speaker_id, tuple(u.asv_embedding for u in kept),
                                tuple(u.bonafide for u in kept))
@@ -176,16 +175,13 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     slots = np.array([[j for j in range(k) if j != x] for x in range(k)])
     members = (np.arange(m)[:, None, None] * k + slots).reshape(m * k, k - 1)
     test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
-    excluded_slot = test_row % k
     return PairBatch(
         test_asv=asv,
         test_cm=np.array([u.cm_embedding.values for u in utterances]),
         enroll=EnrollmentStack(asv, members, ~bonafide[members]),
         test_row=test_row,
-        enroll_set=enroll_speaker * k + excluded_slot,
+        enroll_set=enroll_speaker * k + test_row % k,
         batch=batch,
         bonafide=bonafide,
-        enroll_speaker=enroll_speaker,
-        excluded_slot=excluded_slot,
         positive=(enroll_speaker == test_row // k) & bonafide[test_row],
     )

@@ -35,14 +35,9 @@ class TrainingDivergedError(RuntimeError):
     """A loss or gradient went non-finite; carries epoch/batch context."""
 
     def __init__(self, message, epoch=None, batch=None, parameter=None):
-        parts = [message]
-        if epoch is not None:
-            parts.append(f"epoch={epoch}")
-        if batch is not None:
-            parts.append(f"batch={batch}")
-        if parameter is not None:
-            parts.append(f"parameter={parameter}")
-        super().__init__(" ".join(parts))
+        context = (("epoch", epoch), ("batch", batch), ("parameter", parameter))
+        super().__init__(" ".join([message] + [f"{key}={value}" for key, value in context
+                                               if value is not None]))
         self.epoch = epoch
         self.batch = batch
         self.parameter = parameter

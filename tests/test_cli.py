@@ -1,16 +1,18 @@
 """End-to-end CLI tests: subcommands, exit codes, config files."""
 
 import contextlib
+import dataclasses
 import io
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from sasvbackend import cli
 from sasvbackend import data as dio
+from sasvbackend.training import TrainConfig
 
 SYNTH_SMALL = [
     "--train-speakers", "4", "--dev-speakers", "2", "--eval-speakers", "2",
@@ -127,6 +129,28 @@ class TestScore:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("scorer", ["asv_only", "fused"])
+    @pytest.mark.parametrize("kind, value", [("cm", "nan"), ("asv", "inf")])
+    def test_non_finite_embedding_exits_2_naming_line(self, corpus, trained, tmp_path,
+                                                       capsys, scorer, kind, value):
+        # an eval test's CM embedding, or the first enrollment entry's ASV one
+        utt = "evl000-b005" if kind == "cm" else "evl000-b000"
+        lines = (corpus / f"{kind}_embeddings.txt").read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.startswith(utt + " "))
+        lines[row] = f"{utt} {value} " + lines[row].split(" ", 2)[2]
+        bad = tmp_path / f"{kind}_embeddings.txt"
+        bad.write_text("\n".join(lines) + "\n")
+        files = {"asv": corpus / "asv_embeddings.txt", "cm": corpus / "cm_embeddings.txt",
+                 kind: bad}
+        code = cli.main([
+            "score", "--checkpoint", str(trained / "final.ckpt"),
+            "--trials", str(corpus / "trials_eval.tsv"), "--asv-embeddings", str(files["asv"]),
+            "--cm-embeddings", str(files["cm"]), "--scorer", scorer,
+            "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert code == 2
+        assert f"{bad}:{row + 1}: non-finite" in capsys.readouterr().err
+
     def test_unresolved_ids_exit_4(self, corpus, trained, tmp_path, capsys):
         bad = tmp_path / "bad_trials.tsv"
         bad.write_text("ghost\tnope1,nope2\tmissing\ttarget\n")
@@ -163,12 +187,52 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert str(bad) in err and "w_xx" in err
 
-    @given(edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "insert"]),
+
+def command_reading(role, files, out_dir):
+    """The command that reads the input file files[role]."""
+    if role == "manifest":
+        return ["train", "--manifest", files["manifest"], "--asv-embeddings", files["asv"],
+                "--cm-embeddings", files["cm"], "--out", out_dir, *TRAIN_SMALL]
+    if role == "scores":
+        return ["evaluate", "--scores", files["scores"]]
+    return ["score", "--checkpoint", files["checkpoint"], "--trials", files["trials"],
+            "--asv-embeddings", files["asv"], "--cm-embeddings", files["cm"],
+            "--config", files["config"], "--out", out_dir / "scores.tsv"]
+
+
+# exit codes each input may end with besides 0: a file-format problem (2),
+# and what a valid but altered file can cause: a pool too small to train
+# (3), ids without embeddings (4) and a score file without targets (5)
+MUTATION_EXITS = {
+    "checkpoint": {2}, "config": {2}, "trials": {2, 4}, "asv": {2, 4}, "cm": {2, 4},
+    "manifest": {2, 3, 4}, "scores": {2, 5},
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(corpus, trained, tmp_path_factory):
+    """Every kind of input file the CLI reads, by role."""
+    run = tmp_path_factory.mktemp("inputs")
+    files = {
+        "checkpoint": trained / "final.ckpt", "trials": corpus / "trials_eval.tsv",
+        "asv": corpus / "asv_embeddings.txt", "cm": corpus / "cm_embeddings.txt",
+        "manifest": corpus / "manifest.tsv", "config": run / "score.cfg",
+        "scores": run / "scores.tsv",
+    }
+    files["config"].write_text("# score options\nscorer=fused\npooling=attention\n")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([str(a) for a in command_reading("checkpoint", files, run)]) == 0
+    return files
+
+
+class TestMutatedInputs:
+    @given(role=st.sampled_from(sorted(MUTATION_EXITS)),
+           edits=st.lists(st.tuples(st.sampled_from(["set", "cut", "insert"]),
                                     st.floats(0, 1, exclude_max=True),
                                     st.integers(0, 255)), min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
-    def test_mutated_bytes_exit_0_or_2(self, corpus, trained, edits):
-        data = bytearray((trained / "final.ckpt").read_bytes())
+    @settings(max_examples=150, deadline=None)
+    def test_mutated_bytes_exit_with_documented_code(self, inputs, role, edits):
+        data = bytearray(inputs[role].read_bytes())
         for kind, where, byte in edits:
             at = int(where * len(data)) if data else 0
             if kind == "set" and data:
@@ -177,13 +241,18 @@ class TestCorruptCheckpoint:
                 del data[at:]
             else:
                 data[at:at] = bytes([byte])
+        err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
-            bad = Path(tmp) / "mutated.ckpt"
+            bad = Path(tmp) / inputs[role].name
             bad.write_bytes(bytes(data))
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = score_with(bad, corpus, Path(tmp) / "s.tsv")
-        assert code in (0, 2)
+            argv = command_reading(role, {**inputs, role: bad}, Path(tmp))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main([str(a) for a in argv])
+        event(f"{role} exit {code}")
+        assert code in {0} | MUTATION_EXITS[role], err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if code == 2:
+            assert str(bad) in err.getvalue()
 
 
 class TestEvaluate:
@@ -255,6 +324,22 @@ class TestTrainDefaults:
         assert args.utterances_per_speaker == 10
         assert args.pooling == "attention"
 
+    # options named differently from their config field
+    RENAMED = {"d_a": "asv_dim", "d_c": "cm_dim", "spoof_speaker_fidelity": "spoof_fidelity",
+               "lr_decay_per_epoch": "lr_decay", "hard_negative_top_n": "top_n"}
+
+    @pytest.mark.parametrize("argv, config", [
+        (["synth", "--out", "o"], dio.SynthConfig()),
+        (["train", "--manifest", "m", "--asv-embeddings", "a", "--cm-embeddings", "c",
+          "--out", "o"], TrainConfig()),
+    ], ids=["synth", "train"])
+    def test_every_default_is_its_config_field(self, argv, config):
+        args = vars(cli.build_parser().parse_args(argv))
+        for field in dataclasses.fields(config):
+            value = args[self.RENAMED.get(field.name, field.name)]
+            assert value == getattr(config, field.name), field.name
+            assert type(value) is type(getattr(config, field.name)), field.name
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_win(self, tmp_path):
@@ -289,3 +374,36 @@ class TestConfigFile:
         assert cli.main(["synth", f"--config={cfg}", "--out", str(out)]) == 0
         manifest = dio.load_manifest(out / "manifest.tsv")
         assert len({e.speaker_id for e in manifest.utterances}) == 3
+
+    def test_abbreviated_flag_also_read(self, tmp_path):
+        # argparse accepts --conf for --config, so the file must be read too
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("train-speakers=3\ndev-speakers=2\neval-speakers=2\n"
+                       "bonafide-per-speaker=8\nspoof-per-speaker=6\n"
+                       "asv-dim=8\ncm-dim=5\n")
+        out = tmp_path / "abbrev"
+        assert cli.main(["synth", "--conf", str(cfg), "--out", str(out)]) == 0
+        manifest = dio.load_manifest(out / "manifest.tsv")
+        assert len({e.speaker_id for e in manifest.utterances}) == 3
+
+    @pytest.mark.parametrize("text, where", [
+        ("train-speakers=3\nseed=abc\n", ":2: seed: invalid literal"),
+        ("asv-dim=8\nspoof-fidelity=high\n", ":2: spoof_fidelity: could not convert"),
+        ("seed=1\xff\n", ": 'utf-8' codec can't decode"),
+    ], ids=["int", "float", "encoding"])
+    def test_bad_value_names_path_and_line(self, tmp_path, capsys, text, where):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_bytes(text.encode("latin-1"))
+        code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{cfg}{where}" in capsys.readouterr().err
+
+    def test_bad_choice_names_path_and_line(self, tmp_path, capsys):
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text("epochs=1\npooling=max\n")
+        code = cli.main(["train", "--config", str(cfg), "--manifest", "m",
+                         "--asv-embeddings", "a", "--cm-embeddings", "c",
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"{cfg}:2: pooling: 'max' is not one of attention, average" \
+            in capsys.readouterr().err

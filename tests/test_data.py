@@ -1,5 +1,7 @@
 """Loader/writer round-trips, malformed-file rejection, generator geometry."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -59,6 +61,13 @@ class TestEmbeddingsIO:
         p = tmp_path / "emb.txt"
         p.write_text("u1\n")
         with pytest.raises(dio.MalformedLineError):
+            dio.load_embeddings(p)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e400"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        p = tmp_path / "emb.txt"
+        p.write_text(f"u1 1.0 2.0\nu2 0.5 {value}\n")
+        with pytest.raises(dio.MalformedLineError, match=re.escape(f"{p}:2: non-finite")):
             dio.load_embeddings(p)
 
 
@@ -131,6 +140,26 @@ class TestScoresIO:
         p.write_text("s\tu\tnot-a-number\ttarget\n")
         with pytest.raises(dio.MalformedLineError):
             dio.load_scores(p)
+
+    @pytest.mark.parametrize("score", ["nan", "-inf", "1e999"])
+    def test_non_finite_score_reports_line(self, tmp_path, score):
+        p = tmp_path / "s.tsv"
+        p.write_text(f"s\tu1\t0.5\ttarget\ns\tu2\t{score}\tspoof\n")
+        with pytest.raises(dio.MalformedLineError, match=re.escape(f"{p}:2: non-finite")):
+            dio.load_scores(p)
+
+
+@pytest.mark.parametrize("loader, line", [
+    (dio.load_embeddings, b"u1 1.0 2.0\n"),
+    (dio.load_manifest, b"s1\tu1\tbonafide\n"),
+    (dio.load_trials, b"s1\te1\tu1\ttarget\n"),
+    (dio.load_scores, b"s1\tu1\t0.5\ttarget\n"),
+], ids=["embeddings", "manifest", "trials", "scores"])
+def test_non_utf8_byte_names_path(tmp_path, loader, line):
+    p = tmp_path / "data.txt"
+    p.write_bytes(line + b"\xff" + line)
+    with pytest.raises(dio.MalformedLineError, match=re.escape(f"{p}: 'utf-8' codec")):
+        loader(p)
 
 
 class TestBuildRecords:
