@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 
 from . import data as dio
-from .backend import BackendParams, POOLING_MODES
+from .backend import BackendParams, POOLING_MODES, ZeroNormError
 from .gradcheck import gradient_check
 from .metrics import EmptyClassError, evaluate
 from .sampling import PoolExhaustedError
@@ -199,8 +199,11 @@ def cmd_score(args) -> int:
     trials = dio.load_trials(args.trials)
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
-    records = score_trials(params, trials, asv_map, cm_map,
-                           pooling=args.pooling, scorer=args.scorer)
+    try:
+        records = score_trials(params, trials, asv_map, cm_map,
+                               pooling=args.pooling, scorer=args.scorer)
+    except ZeroNormError as exc:
+        raise ZeroNormError(f"{args.asv_embeddings}: {exc}") from None
     dio.save_scores(records, args.out)
     print(f"{len(records)} trials scored with {args.scorer} -> {args.out}")
     return EXIT_OK

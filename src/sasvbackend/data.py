@@ -10,7 +10,9 @@ All formats are line-oriented text so runs can be inspected and diffed:
 Floats are written with repr so that save(load(f)) is value-exact. The four
 loaders share one line reader. Blank lines are skipped; a wrong field count,
 a value that is not a finite float, a bad label or a repeated id raises a
-DataError whose message starts with "path:line".
+DataError whose message starts with "path:line". Embedding values are parsed
+by numpy's C reader, and a file that fails a check is re-read line by line to
+name its first bad line; the values accepted are those of Python's float().
 
 The synthetic generator stands in for the out-of-scope pre-trained encoders:
 it plants spoofed speaker embeddings near the target speaker's centroid so
@@ -20,6 +22,7 @@ two classes linearly separable.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,9 +104,9 @@ class Trial:
 TrialList = list[Trial]
 
 
-def _read_lines(path, sep: str, n_fields: int, at_least: bool = False):
+def _read_lines(path, sep: str, n_fields: int, at_least: bool = False, maxsplit: int = -1):
     """Yield ("path:line", fields) for every non-blank line of a text file,
-    where fields is the line split on sep: exactly n_fields of them, or at
+    where fields is line.split(sep, maxsplit): exactly n_fields of them, or at
     least n_fields when at_least is set. The prefix starts every error."""
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -112,7 +115,7 @@ def _read_lines(path, sep: str, n_fields: int, at_least: bool = False):
                 if not line:
                     continue
                 where = f"{path}:{lineno}"
-                fields = line.split(sep)
+                fields = line.split(sep, maxsplit)
                 if len(fields) < n_fields if at_least else len(fields) != n_fields:
                     raise MalformedLineError(f"{where}: expected {'at least ' if at_least else ''}"
                                              f"{n_fields} fields separated by {sep!r}")
@@ -128,7 +131,23 @@ def _write_lines(path, lines) -> None:
 
 
 def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Read an embedding file into an id -> finite float64 vector map."""
+    """Read an embedding file into an id -> finite float64 vector map, with
+    numpy's C reader or, for a file it cannot take, line by line."""
+    ids, widths = [], set()  # value counts; 0 marks a line the C reader must not take
+    try:  # errors go to the line walk, which reports an earlier bad value first
+        for _, (utt_id, text) in _read_lines(path, " ", 2, at_least=True, maxsplit=1):
+            ids.append(utt_id)
+            # loadtxt strips these separators from a value's ends, float() does not
+            widths.add(0 if any(c in text for c in "\x1c\x1d\x1e\x1f") else text.count(" ") + 1)
+    except MalformedLineError:
+        widths.add(0)
+    if len(widths) == 1 and 0 not in widths and len(set(ids)) == len(ids):
+        with contextlib.suppress(ValueError):  # the line walk below names the error
+            values = np.loadtxt(path, dtype=np.float64, delimiter=" ", comments=None,
+                                usecols=range(1, widths.pop() + 1), ndmin=2, encoding="utf-8")
+            # loadtxt may drop a row it takes for blank, so the rows are counted
+            if values.shape[0] == len(ids) and np.isfinite(values).all():
+                return dict(zip(ids, values))
     out: dict[str, np.ndarray] = {}
     dim = None
     for where, fields in _read_lines(path, " ", 2, at_least=True):
@@ -150,7 +169,7 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
 
 
 def save_embeddings(embeddings: dict[str, np.ndarray], path) -> None:
-    _write_lines(path, (utt_id + " " + " ".join(repr(float(v)) for v in values)
+    _write_lines(path, (utt_id + " " + " ".join(map(repr, np.asarray(values, np.float64).tolist()))
                         for utt_id, values in embeddings.items()))
 
 

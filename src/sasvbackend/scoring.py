@@ -59,9 +59,12 @@ def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
         masked[s, :len(ids)] = False
         enroll_ids += ids
     enroll = np.array([asv_map[e] for e in enroll_ids])
-    if not np.all(np.any(enroll, axis=1)):
-        raise ZeroNormError("an enrollment ASV embedding is a zero vector")
-    return TrialBatch(np.array([asv_map[t] for t in tests]), np.array([cm_map[t] for t in tests]),
+    test_asv = np.array([asv_map[t] for t in tests])
+    for role, ids, rows in (("enrollment", enroll_ids, enroll), ("test", list(tests), test_asv)):
+        zero = np.flatnonzero(~rows.any(axis=1))
+        if zero.size:
+            raise ZeroNormError(f"the {role} ASV embedding of {ids[zero[0]]!r} is a zero vector")
+    return TrialBatch(test_asv, np.array([cm_map[t] for t in tests]),
                       EnrollmentStack(enroll, members, masked), test_row, enroll_set)
 
 

@@ -1,13 +1,18 @@
 """Independent reference implementations shared by the test suites.
 
 These deliberately avoid the library's fast code paths: plain counting
-loops, midpoint threshold sweeps and a per-pair training loss, so they can
-serve as oracles for the implementations under test.
+loops, midpoint threshold sweeps, a per-pair training loss and a per-value
+embedding parser, so they can serve as oracles for the implementations
+under test.
 """
+
+import numpy as np
 
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
 from sasvbackend import training as tr
+from sasvbackend.data import (DimensionMismatchError, DuplicateIdError, MalformedLineError,
+                              _read_lines)
 
 
 def brute_force_eer(positives, negatives):
@@ -65,3 +70,25 @@ def per_pair_batch_loss(params, pairs, config):
     for i in selected[1:]:
         total = ad.add(total, losses[i])
     return ad.affine(total, 1.0 / len(selected)), selected
+
+
+def load_embeddings_by_line(path) -> dict[str, np.ndarray]:
+    """Reference embedding loader: one float() per value, line by line."""
+    out: dict[str, np.ndarray] = {}
+    dim = None
+    for where, fields in _read_lines(path, " ", 2, at_least=True):
+        utt_id = fields[0]
+        try:
+            values = np.array([float(x) for x in fields[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise MalformedLineError(f"{where}: {exc}") from None
+        if not np.isfinite(values).all():
+            raise MalformedLineError(f"{where}: non-finite value in embedding {utt_id!r}")
+        if dim is None:
+            dim = values.size
+        elif values.size != dim:
+            raise DimensionMismatchError(f"{where}: dimension {values.size} differs from {dim}")
+        if utt_id in out:
+            raise DuplicateIdError(f"{where}: duplicate utterance id {utt_id!r}")
+        out[utt_id] = values
+    return out

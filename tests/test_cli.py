@@ -151,6 +151,24 @@ class TestScore:
         assert code == 2
         assert f"{bad}:{row + 1}: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("role, utt", [("enrollment", "evl000-b000"),
+                                           ("test", "evl000-b005")])
+    def test_zero_asv_vector_exits_2_naming_utterance_and_file(self, corpus, trained, tmp_path,
+                                                               capsys, role, utt):
+        asv_map = dio.load_embeddings(corpus / "asv_embeddings.txt")
+        asv_map[utt] = asv_map[utt] * 0.0
+        bad = tmp_path / "asv_embeddings.txt"
+        dio.save_embeddings(asv_map, bad)
+        code = cli.main([
+            "score", "--checkpoint", str(trained / "final.ckpt"),
+            "--trials", str(corpus / "trials_eval.tsv"), "--asv-embeddings", str(bad),
+            "--cm-embeddings", str(corpus / "cm_embeddings.txt"),
+            "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: the {role} ASV embedding of {utt!r} is a zero vector" in err
+
     def test_unresolved_ids_exit_4(self, corpus, trained, tmp_path, capsys):
         bad = tmp_path / "bad_trials.tsv"
         bad.write_text("ghost\tnope1,nope2\tmissing\ttarget\n")

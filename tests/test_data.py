@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from sasvbackend import data as dio
 from sasvbackend.metrics import ScoreRecord
 
+from oracles import load_embeddings_by_line
+
 
 class TestEmbeddingsIO:
     def test_basic_load(self, tmp_path):
@@ -69,6 +71,104 @@ class TestEmbeddingsIO:
         p.write_text(f"u1 1.0 2.0\nu2 0.5 {value}\n")
         with pytest.raises(dio.MalformedLineError, match=re.escape(f"{p}:2: non-finite")):
             dio.load_embeddings(p)
+
+    def test_saved_bytes_are_per_element_repr(self, tmp_path):
+        vectors = {"u1": np.array([-0.0, 5e-324, 1e308, 0.1]), "u2": np.array([0.1, -1e308])}
+        dio.save_embeddings(vectors, tmp_path / "e.txt")
+        expected = "".join(u + " " + " ".join(repr(float(x)) for x in v) + "\n"
+                           for u, v in vectors.items())
+        assert (tmp_path / "e.txt").read_bytes() == expected.encode()
+
+
+def load_outcome(loader, path):
+    """A loader's result as comparable values: the ids in order with each
+    vector's bytes and shape, or the exception's class and message."""
+    try:
+        loaded = loader(path)
+    except dio.DataError as exc:
+        return type(exc), str(exc)
+    return [(u, v.dtype, v.shape, v.tobytes()) for u, v in loaded.items()]
+
+
+class TestEmbeddingParsePaths:
+    """load_embeddings parses through numpy's C reader and re-reads a file
+    that fails a check line by line; both must agree with the per-value
+    reference loader on every file."""
+
+    def check(self, path):
+        outcome = load_outcome(dio.load_embeddings, path)
+        assert outcome == load_outcome(load_embeddings_by_line, path)
+        return outcome
+
+    def test_lone_trailing_space_line_names_line_2(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1.0 2.0\nb \nc 3.0 4.0\n")
+        assert self.check(p) == (dio.MalformedLineError,
+                                 f"{p}:2: could not convert string to float: ''")
+
+    def test_bad_float_reported_before_later_field_count_error(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1.0 2.0\nb 1.0 x\nc 3.0 4.0\nd\n")
+        assert self.check(p) == (dio.MalformedLineError,
+                                 f"{p}:2: could not convert string to float: 'x'")
+
+    def test_values_only_float_accepts_still_load(self, tmp_path):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1_0 \u0661\nb 2.5 -3\n", encoding="utf-8")
+        self.check(p)
+        assert dio.load_embeddings(p)["a"].tolist() == [10.0, 1.0]
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_values_only_loadtxt_accepts_are_rejected(self, tmp_path, sep):
+        # loadtxt strips these around a value; float() does not
+        p = tmp_path / "e.txt"
+        p.write_text(f"a 1.0 2.0\nb {sep}3.0 4.0{sep}\n")
+        assert self.check(p)[0] is dio.MalformedLineError
+
+    @pytest.mark.parametrize("text, shapes", [
+        ("a 0.5 -1.5 2.0\n", [(3,)]),
+        ("a 0.5", [(1,)]),
+        ("a 0.5\nb -1e-300\nc 7\n", [(1,)] * 3),
+    ], ids=["one-line", "one-line-no-newline", "1-d"])
+    def test_one_line_and_1d_files(self, tmp_path, text, shapes):
+        p = tmp_path / "e.txt"
+        p.write_text(text)
+        assert [shape for _, _, shape, _ in self.check(p)] == shapes
+
+    @pytest.mark.parametrize("text", ["\n", "\n\n\r\n", "\r"])
+    def test_blank_only_file_is_empty(self, tmp_path, text):
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode())
+        assert self.check(p) == [] and dio.load_embeddings(p) == {}
+
+    def test_row_count_short_of_ids_falls_back(self, tmp_path, monkeypatch):
+        p = tmp_path / "e.txt"
+        p.write_text("a 1.0 2.0\nb 3.0 4.0\nc 5.0 6.0\n")
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(dio.np, "loadtxt", lambda *a, **k: loadtxt(*a, **k)[1:])
+        assert self.check(p)[0][0] == "a"
+
+    @given(edits=st.lists(st.tuples(
+        st.sampled_from(["set", "insert", "delete"]),
+        st.integers(0, 200),
+        st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"#",
+                         b'"', b"'", b"_", b"e", b"+", b"-", b".", b"0", b"1", b"7", b"nan",
+                         b"inf", b"\xff", b"\x00", "\u0661".encode()]),
+    ), max_size=4), width=st.integers(1, 3), rows=st.integers(1, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_mutated_file_matches_reference(self, tmp_path_factory, edits, width, rows):
+        data = bytearray(b"".join(
+            b"u%d" % r + b"".join(b" %r" % ((r + 1) * 0.1 - c) for c in range(width)) + b"\n"
+            for r in range(rows)))
+        for op, pos, byte in edits:
+            pos %= len(data) + 1
+            if op == "insert":
+                data[pos:pos] = byte
+            elif pos < len(data):
+                data[pos:pos + 1] = byte if op == "set" else b""
+        p = tmp_path_factory.mktemp("emb") / "e.txt"
+        p.write_bytes(bytes(data))
+        self.check(p)
 
 
 class TestManifestIO:
