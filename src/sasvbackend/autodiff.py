@@ -9,7 +9,8 @@ identical.
 
 Broadcasting follows numpy in the elementwise ops and in ``matmul``'s
 batch axes, with one addition: a 1 x 1 tensor acts as a scalar against any
-shape. Every gradient is summed back to its operand's shape.
+shape. Every gradient is summed back to its operand's shape. ``pair_dot``
+takes dot products of indexed row pairs without putting the rows on the tape.
 
 Not a general autodiff library: no views, no higher-order gradients.
 Arrays are immutable values as far as the ops are concerned and are safe
@@ -299,6 +300,22 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
     # on how many rows share the call
     return _op(np.einsum("...i,...i->...", av, bv).reshape(shape),
                (a, lambda g: g[..., None] * bv), (b, grad_b))
+
+
+def pair_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
+    """Dot products of indexed row pairs, out[p] = a[ia[p]] . b[ib[p]], each
+    bitwise row_dot of its two rows. Backward sums each (i, j) pair's
+    gradients in pair order into W (len(a) x len(b)): W @ b and W.T @ a."""
+    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
+    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[1] or ia.shape != ib.shape:
+        raise ShapeError(f"pair_dot: rows {a.shape}, {b.shape} with indices {ia.shape}, {ib.shape}")
+    av, bv = a.value, b.value
+
+    def pair_weights(g):
+        return np.bincount((ia * len(bv) + ib).ravel(), weights=g.ravel(),
+                           minlength=len(av) * len(bv)).reshape(len(av), len(bv))
+    return _op(np.einsum("...i,...i->...", np.take(av, ia, axis=0), np.take(bv, ib, axis=0)),
+               (a, lambda g: pair_weights(g) @ bv), (b, lambda g: pair_weights(g).T @ av))
 
 
 def norm(a: Tensor) -> Tensor:

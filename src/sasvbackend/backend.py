@@ -295,15 +295,20 @@ def average_pool(enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
                             keep.astype(np.float64))
 
 
-def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor
-                    ) -> tuple[Tensor, Tensor, Tensor]:
-    """Calibrated cosine head over matching rows of q_asv and h: returns
-    (cos, s_asv, P_asv), one entry per row."""
+def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
+                    test_row=None, enroll_set=None) -> tuple[Tensor, Tensor, Tensor]:
+    """Calibrated cosine head of row test_row[p] of q_asv against row
+    enroll_set[p] of h, with one norm per row; by default row i meets row i
+    and a single row meets every row. Returns (cos, s_asv, P_asv) per pair."""
+    if test_row is None:
+        test_row, enroll_set = np.broadcast_arrays(np.arange(len(q_asv.value)),
+                                                   np.arange(len(h.value)))
     if not np.all(np.any(q_asv.value, axis=-1)):
         raise ZeroNormError("test ASV embedding has zero norm")
     if not np.all(np.any(h.value, axis=-1)):
         raise ZeroNormError("speaker representative vector has zero norm")
-    cos = ad.div(ad.row_dot(q_asv, h), ad.mul(ad.norm(q_asv), ad.norm(h)))
+    norms = ad.mul(ad.gather(ad.norm(q_asv), test_row), ad.gather(ad.norm(h), enroll_set))
+    cos = ad.div(ad.pair_dot(q_asv, h, test_row, enroll_set), norms)
     s_asv = ad.add(ad.mul(params.a, cos), params.b)
     return cos, s_asv, ad.sigmoid(s_asv)
 
@@ -354,8 +359,8 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
     """Full back-end pass over a trial batch: pool, both heads, fusion.
 
     Every enrollment set is pooled once and every test row goes through
-    the CM head once; the ASV head and the fusion run per trial. pooling
-    selects attention pooling or the plain averaging ablation.
+    the CM head once; only the ASV head's dot products and the fusion run
+    per trial. pooling selects attention pooling or the averaging ablation.
     """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}, expected one of {POOLING_MODES}")
@@ -363,8 +368,8 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
         h = pool_enrollments(params, batch.enroll)
     else:
         h = average_pool(batch.enroll)
-    cos, s_asv, p_asv = asv_probability(
-        params, Tensor(batch.test_asv[batch.test_row]), ad.gather(h, batch.enroll_set))
+    cos, s_asv, p_asv = asv_probability(params, Tensor(batch.test_asv), h,
+                                        batch.test_row, batch.enroll_set)
     s_cm, p_cm = cm_probability(params, Tensor(batch.test_cm))
     p_cm = ad.gather(p_cm, batch.test_row)
     s, p = fuse(params, p_cm, p_asv)

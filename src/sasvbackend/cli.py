@@ -199,11 +199,8 @@ def cmd_score(args) -> int:
     trials = dio.load_trials(args.trials)
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
-    try:
-        records = score_trials(params, trials, asv_map, cm_map,
-                               pooling=args.pooling, scorer=args.scorer)
-    except ZeroNormError as exc:
-        raise ZeroNormError(f"{args.asv_embeddings}: {exc}") from None
+    records = score_trials(params, trials, asv_map, cm_map,
+                           pooling=args.pooling, scorer=args.scorer)
     dio.save_scores(records, args.out)
     print(f"{len(records)} trials scored with {args.scorer} -> {args.out}")
     return EXIT_OK
@@ -258,6 +255,9 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, PoolExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
+    except ZeroNormError as exc:  # only train and score read ASV embeddings
+        print(f"error: {args.asv_embeddings}: {exc}", file=sys.stderr)
+        return EXIT_IO
     except (dio.DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

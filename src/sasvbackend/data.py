@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import Embedding
+from .backend import Embedding, ZeroNormError
 from .metrics import TRIAL_LABELS, ScoreRecord
 from .sampling import UtteranceRecord
 
@@ -251,10 +251,14 @@ def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
 
 def resolve_trials(trials: TrialList, asv_map, cm_map) -> None:
     """Raise UnresolvedIdError (listing up to 10 ids) if any trial references
-    an utterance without the embeddings it needs."""
-    tests = [t.test_id for t in trials]
-    _check_resolved("trial", ([i for t in trials for i in t.enroll_ids], asv_map),
-                    (tests, asv_map), (tests, cm_map))
+    an utterance without the embeddings it needs, or ZeroNormError naming the
+    first enrollment, or else test, utterance whose ASV vector is zero."""
+    enroll, tests = [i for t in trials for i in t.enroll_ids], [t.test_id for t in trials]
+    _check_resolved("trial", (enroll, asv_map), (tests, asv_map), (tests, cm_map))
+    for role, ids in (("enrollment", enroll), ("test", tests)):
+        for utt in dict.fromkeys(ids):
+            if not asv_map[utt].any():
+                raise ZeroNormError(f"the {role} ASV embedding of {utt!r} is a zero vector")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from .backend import (
     BackendParams,
     EnrollmentStack,
     TrialBatch,
-    ZeroNormError,
     forward_batch,
     fuse,
 )
@@ -58,14 +57,9 @@ def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
         members[s, :len(ids)] = np.arange(len(ids)) + len(enroll_ids)
         masked[s, :len(ids)] = False
         enroll_ids += ids
-    enroll = np.array([asv_map[e] for e in enroll_ids])
-    test_asv = np.array([asv_map[t] for t in tests])
-    for role, ids, rows in (("enrollment", enroll_ids, enroll), ("test", list(tests), test_asv)):
-        zero = np.flatnonzero(~rows.any(axis=1))
-        if zero.size:
-            raise ZeroNormError(f"the {role} ASV embedding of {ids[zero[0]]!r} is a zero vector")
-    return TrialBatch(test_asv, np.array([cm_map[t] for t in tests]),
-                      EnrollmentStack(enroll, members, masked), test_row, enroll_set)
+    return TrialBatch(np.array([asv_map[t] for t in tests]), np.array([cm_map[t] for t in tests]),
+                      EnrollmentStack(np.array([asv_map[e] for e in enroll_ids]), members, masked),
+                      test_row, enroll_set)
 
 
 def _chunks(trials: TrialList):

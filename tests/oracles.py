@@ -72,6 +72,14 @@ def per_pair_batch_loss(params, pairs, config):
     return ad.affine(total, 1.0 / len(selected)), selected
 
 
+def gathered_cos(batch, h):
+    """Reference ASV-head cosine: both operands gathered to one row per
+    trial, then row_dot over the product of the per-trial row norms."""
+    q = ad.Tensor(batch.test_asv[batch.test_row])
+    h = ad.gather(h, batch.enroll_set)
+    return ad.div(ad.row_dot(q, h), ad.mul(ad.norm(q), ad.norm(h)))
+
+
 def load_embeddings_by_line(path) -> dict[str, np.ndarray]:
     """Reference embedding loader: one float() per value, line by line."""
     out: dict[str, np.ndarray] = {}

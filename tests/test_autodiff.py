@@ -289,6 +289,49 @@ class TestBatchedOps:
             ad.weighted_mean(ad.Tensor(np.ones((2, 3))), [[0.0, 0.0], [1.0, 0.0]])
 
 
+class TestPairDot:
+    def test_matches_finite_differences_with_repeated_pairs(self):
+        rng = np.random.default_rng(13)
+        tape = ad.Tape()
+        A = tape.parameter(rng.standard_normal((3, 4)))
+        B = tape.parameter(rng.standard_normal((2, 4)))
+        C = ad.Tensor(rng.standard_normal((5, 4)))
+        ia = np.array([0, 2, 0, 1, 0, 2])  # (0, 1) and (2, 0) occur twice
+        ib = np.array([1, 0, 1, 1, 0, 0])
+        ic = np.array([4, 0, 4, 2, 1, 3])
+        w = ad.Tensor(rng.standard_normal(6))
+
+        def forward(params):
+            A_, B_ = params
+            both = ad.row_dot(ad.pair_dot(A_, B_, ia, ib), w)
+            return ad.add(ad.add(both, ad.row_dot(ad.pair_dot(A_, C, ia, ic), w)),
+                          ad.row_dot(ad.pair_dot(C, B_, ic, ib), w))
+
+        tape.backward(forward([A, B]))
+        analytic = [A.grad.copy(), B.grad.copy()]
+        fd = finite_difference(lambda: forward([A.detach(), B.detach()]).item(), [A, B])
+        for a, n in zip(analytic, fd):
+            assert relative_error(a, n) < 1e-6
+        assert C.grad is None
+
+    def test_shape_errors(self):
+        a, b = ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((2, 5)))
+        with pytest.raises(ad.ShapeError, match="pair_dot"):
+            ad.pair_dot(a, b, [0, 1], [1, 0])
+        with pytest.raises(ad.ShapeError, match="pair_dot"):
+            ad.pair_dot(a, ad.Tensor(np.ones((2, 4))), [0, 1, 2], [1, 0])
+
+    @pytest.mark.parametrize("d", [1, 7, 96, 193])
+    def test_forward_is_row_dot_of_gathered_rows_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        a, b = ad.Tensor(rng.standard_normal((6, d))), ad.Tensor(rng.standard_normal((4, d)))
+        ia, ib = rng.integers(0, 6, 50), rng.integers(0, 4, 50)
+        out = ad.pair_dot(a, b, ia, ib).value
+        assert np.array_equal(out, ad.row_dot(ad.gather(a, ia), ad.gather(b, ib)).value)
+        # a pair's value does not depend on which pairs share the call
+        assert np.array_equal(out[17:23], ad.pair_dot(a, b, ia[17:23], ib[17:23]).value)
+
+
 class TestDeterminism:
     def test_forward_ops_bitwise_deterministic(self):
         rng = np.random.default_rng(3)

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gathered_cos
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
+from sasvbackend import data as dio
+from sasvbackend import sampling, training
 
 
 def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None):
@@ -153,6 +156,16 @@ class TestAsvProbability:
         p = make_params()
         with pytest.raises(bk.ZeroNormError):
             bk.asv_probability(p, ad.Tensor([0.0, 0.0, 0.0, 0.0]), ad.Tensor([1.0, 0, 0, 0]))
+
+    def test_one_row_meets_every_row(self):
+        p = make_params()
+        rng = np.random.default_rng(4)
+        q, h = rng.standard_normal((1, 4)), rng.standard_normal((3, 4))
+        cos, _, _ = bk.asv_probability(p, ad.Tensor(q), ad.Tensor(h))
+        each = [bk.asv_probability(p, ad.Tensor(q), ad.Tensor(row))[0].item() for row in h]
+        assert cos.value.tolist() == each
+        with pytest.raises(ValueError):
+            bk.asv_probability(p, ad.Tensor(h[:2]), ad.Tensor(h))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=50)
@@ -302,6 +315,39 @@ class TestForward:
             assert np.array_equal(getattr(p, name).grad, np.zeros_like(getattr(p, name).value))
         assert np.any(p.w_cm.grad)
         assert np.any(p.a.grad)
+
+
+def pair_batch(d_a, m=4, k=4, seed=0):
+    ds = dio.generate_synthetic(dio.SynthConfig(
+        train_speakers=m, dev_speakers=2, eval_speakers=2, bonafide_per_speaker=6,
+        spoof_per_speaker=6, d_a=d_a, d_c=5, seed=seed))
+    records = dio.build_records(ds.manifest, ds.asv_embeddings, ds.cm_embeddings)
+    return sampling.expand_pairs(sampling.draw_batch(records, m, k, np.random.default_rng(seed)))
+
+
+class TestAsvHeadPerDistinctRow:
+    def test_tape_holds_no_per_pair_rows(self):
+        d_a = 7
+        pairs = pair_batch(d_a)
+        tape = ad.Tape()
+        params = bk.BackendParams.init(d_a, 5, 3, np.random.default_rng(1), tape=tape)
+        config = training.TrainConfig(speakers_per_batch=4, utterances_per_speaker=4,
+                                      hidden_dim=3, hard_negative_top_n=10)
+        training.batch_loss(params, pairs, config)
+        n_pairs = len(pairs.test_row)
+        assert n_pairs == 4 * 4 * 4
+        shapes = [out.shape for out, _ in tape._records]
+        assert len(shapes) > 20 and (n_pairs, d_a) not in shapes
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    @pytest.mark.parametrize("d_a", [7, 96])
+    def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a):
+        pairs = pair_batch(d_a, seed=d_a)
+        params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
+        h = (bk.pool_enrollments(params, pairs.enroll) if pooling == "attention"
+             else bk.average_pool(pairs.enroll))
+        cos = bk.forward_batch(params, pairs, pooling).cos.value
+        assert np.array_equal(cos, gathered_cos(pairs, h).value)
 
 
 class TestCheckpoint:

@@ -88,6 +88,26 @@ class TestTrain:
         line = (out / "train.log").read_text().splitlines()[0]
         assert len(line.split("\t")) == 6
 
+    @pytest.mark.parametrize("utt, message", [
+        ("trn001-b002", "ASV embedding 'trn001-b002'"),  # a manifest entry
+        ("dev000-b000", "the enrollment ASV embedding of 'dev000-b000'"),  # a dev enrollment
+    ])
+    def test_zero_asv_vector_exits_2_naming_file_before_training(self, corpus, tmp_path,
+                                                                 capsys, utt, message):
+        asv_map = dio.load_embeddings(corpus / "asv_embeddings.txt")
+        asv_map[utt] = asv_map[utt] * 0.0
+        bad = tmp_path / "asv_embeddings.txt"
+        dio.save_embeddings(asv_map, bad)
+        out = tmp_path / "run"
+        code = cli.main([
+            "train", "--manifest", str(corpus / "manifest.tsv"), "--asv-embeddings", str(bad),
+            "--cm-embeddings", str(corpus / "cm_embeddings.txt"), "--out", str(out),
+            "--seed", "1", *TRAIN_SMALL, "--dev-trials", str(corpus / "trials_dev.tsv"),
+        ])
+        assert code == 2
+        assert f"error: {bad}: {message} is a zero vector" in capsys.readouterr().err
+        assert not out.exists()  # no epoch ran
+
     def test_pool_exhausted_exits_3(self, corpus, tmp_path, capsys):
         code = cli.main([
             "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
