@@ -13,8 +13,12 @@ attention softmax, so their content can never influence the pooled vector
 or any gradient.
 
 The building blocks work on stacks: forward_batch runs the whole pass over
-a TrialBatch, pooling every enrollment set once and scoring every test
-utterance with the CM head once.
+a TrialBatch, pooling every enrollment group once and scoring every test
+utterance with the CM head once. An enrollment group is K embeddings under
+R masks, one per set: a scoring set is a group of its own (R = 1), and in
+training a speaker's K utterances form one group whose R = K sets each
+leave out one slot. Projections and attention logits are computed once per
+group; only the masked softmaxes and the pooling weights are per set.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ class ZeroNormError(ValueError):
 
 
 CHECKPOINT_MAGIC = b"SASVBKND"
-CHECKPOINT_VERSION = 1
+# version 2 records the pooling mode the weights were trained with;
+# version 1 files, which do not, still load
+CHECKPOINT_VERSION = 2
 
 POOLING_MODES = ("attention", "average")
 
@@ -108,11 +114,14 @@ class EnrollmentSet:
 
 @dataclass(frozen=True)
 class EnrollmentStack:
-    """S enrollment sets as rows of one embedding matrix.
+    """G enrollment groups of K rows of one embedding matrix, each under R
+    masks: G * R enrollment sets.
 
-    embeddings is (N, d_a); members (S, K) holds each set's row indices and
-    masked (S, K) is True where an entry is spoofed, or pads a set shorter
-    than K. Masked entries never influence pooling or any gradient.
+    embeddings is (N, d_a) and members (G, K) holds each group's row
+    indices. masked (G, R, K) is True where set g * R + r leaves an entry
+    of group g out: a spoofed entry, a slot held out for testing, or the
+    padding of a set shorter than K. Masked entries never influence that
+    set's pooled vector or its gradients.
     """
 
     embeddings: np.ndarray
@@ -120,10 +129,20 @@ class EnrollmentStack:
     masked: np.ndarray
 
     def __post_init__(self):
-        degenerate = np.flatnonzero(self.masked.all(axis=1))
+        if self.masked.shape[::2] != self.members.shape:
+            raise ad.ShapeError(f"enrollment mask {self.masked.shape} does not fit "
+                                f"members {self.members.shape}")
+        degenerate = np.flatnonzero(self.masked.all(axis=-1))
         if degenerate.size:
             raise DegenerateEnrollmentError(
                 f"enrollment set {degenerate[0]} has no bona-fide entry")
+
+    def rows(self) -> np.ndarray:
+        """(G, K, d_a) embeddings of each group, zero where every set of the
+        group masks the entry."""
+        E = np.take(self.embeddings, self.members, axis=0)
+        E[self.masked.all(axis=1)] = 0.0
+        return E
 
 
 def _stack(enroll: "EnrollmentSet | EnrollmentStack") -> EnrollmentStack:
@@ -132,7 +151,7 @@ def _stack(enroll: "EnrollmentSet | EnrollmentStack") -> EnrollmentStack:
     if len(enroll) == 0:
         raise EmptyEnrollmentError(f"enrollment for {enroll.speaker_id!r} is empty")
     members = np.arange(len(enroll))[None]
-    return EnrollmentStack(enroll.matrix(), members, enroll.spoof_mask()[None])
+    return EnrollmentStack(enroll.matrix(), members, enroll.spoof_mask()[None, None])
 
 
 def _shapes(d_a: int, d_c: int, h_f: int) -> dict[str, tuple[int, int]]:
@@ -157,13 +176,16 @@ class BackendParams:
     """All trainable weights of the back-end.
 
     Shapes are fixed at construction from (d_a, d_c, h_f). Tensors are
-    tape-tracked when a tape is supplied, plain values otherwise.
+    tape-tracked when a tape is supplied, plain values otherwise. pooling is
+    the mode the weights are trained for, or None where it is not known.
     """
 
-    def __init__(self, d_a: int, d_c: int, h_f: int, tensors: dict[str, Tensor]):
+    def __init__(self, d_a: int, d_c: int, h_f: int, tensors: dict[str, Tensor],
+                 pooling: str | None = None):
         self.d_a = d_a
         self.d_c = d_c
         self.h_f = h_f
+        self.pooling = pooling
         expected = _shapes(d_a, d_c, h_f)
         for name in _PARAM_NAMES:
             t = tensors[name]
@@ -175,7 +197,7 @@ class BackendParams:
 
     @classmethod
     def init(cls, d_a: int, d_c: int, h_f: int, rng: np.random.Generator,
-             tape: Tape | None = None) -> "BackendParams":
+             tape: Tape | None = None, pooling: str | None = None) -> "BackendParams":
         """Fresh parameters: the _FIXED_INIT start values, every other
         weight uniform(+-1/sqrt(fan_in)) with fan_in its shape's columns,
         drawn in parameter order."""
@@ -187,7 +209,7 @@ class BackendParams:
                 bound = 1.0 / math.sqrt(shape[1])
                 values[name] = rng.uniform(-bound, bound, size=shape)
         make = tape.parameter if tape is not None else Tensor
-        return cls(d_a, d_c, h_f, {k: make(v) for k, v in values.items()})
+        return cls(d_a, d_c, h_f, {k: make(v) for k, v in values.items()}, pooling)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
         return [(name, getattr(self, name)) for name in _PARAM_NAMES]
@@ -196,28 +218,37 @@ class BackendParams:
         """Untracked view sharing the same arrays; safe for scoring."""
         return BackendParams(
             self.d_a, self.d_c, self.h_f,
-            {name: t.detach() for name, t in self.parameters()},
+            {name: t.detach() for name, t in self.parameters()}, self.pooling,
         )
 
     def save(self, path) -> None:
-        """Write the versioned binary checkpoint; round-trips bit-exactly."""
+        """Write the versioned binary checkpoint; round-trips bit-exactly.
+        The file is version 2, recording the pooling mode, when the mode is
+        known, and version 1 otherwise."""
+
+        def name_field(name: str) -> bytes:
+            encoded = name.encode("utf-8")
+            return struct.pack("<I", len(encoded)) + encoded
+        version = 1 if self.pooling is None else CHECKPOINT_VERSION
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<IIII", CHECKPOINT_VERSION, self.d_a, self.d_c, self.h_f))
+            f.write(struct.pack("<IIII", version, self.d_a, self.d_c, self.h_f))
+            if self.pooling is not None:
+                f.write(name_field(self.pooling))
             for name, t in self.parameters():
-                encoded = name.encode("utf-8")
-                f.write(struct.pack("<I", len(encoded)))
-                f.write(encoded)
+                f.write(name_field(name))
                 f.write(struct.pack("<II", *t.shape))
                 f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
 
     @classmethod
     def load(cls, path, tape: Tape | None = None) -> "BackendParams":
-        """Read a checkpoint written by save().
+        """Read a checkpoint written by save(), of version 1 or 2; the
+        result's pooling is the recorded mode, None for version 1.
 
         Raises ValueError naming the path on a bad magic or version, a short
-        read, a missing, unknown or repeated parameter, a shape that does not
-        match the header's dimensions, a non-finite value or trailing bytes.
+        read, an unknown pooling mode, a missing, unknown or repeated
+        parameter, a shape that does not match the header's dimensions, a
+        non-finite value or trailing bytes.
         """
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
@@ -227,17 +258,25 @@ class BackendParams:
                     raise ValueError(f"{path}: checkpoint is truncated in {what}")
                 return f.read(n)
 
+            def read_name(what: str) -> str:
+                (name_len,) = struct.unpack("<I", read(4, what))
+                return read(name_len, what).decode("utf-8", errors="replace")
+
             magic = f.read(8)
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a back-end checkpoint (bad magic {magic!r})")
             version, d_a, d_c, h_f = struct.unpack("<IIII", read(16, "the header"))
-            if version != CHECKPOINT_VERSION:
+            if version not in (1, CHECKPOINT_VERSION):
                 raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            pooling = None
+            if version == CHECKPOINT_VERSION:
+                pooling = read_name("the pooling mode")
+                if pooling not in POOLING_MODES:
+                    raise ValueError(f"{path}: unknown pooling mode {pooling!r}")
             expected = _shapes(d_a, d_c, h_f)
             tensors = {}
             for i in range(len(_PARAM_NAMES)):
-                (name_len,) = struct.unpack("<I", read(4, f"parameter {i}"))
-                name = read(name_len, f"parameter {i}").decode("utf-8", errors="replace")
+                name = read_name(f"parameter {i}")
                 if name not in expected or name in tensors:
                     kind = "repeated" if name in tensors else "unknown"
                     raise ValueError(f"{path}: {kind} parameter name {name!r}")
@@ -252,47 +291,52 @@ class BackendParams:
                 tensors[name] = tape.parameter(value) if tape is not None else Tensor(value)
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after parameters")
-        return cls(d_a, d_c, h_f, tensors)
+        return cls(d_a, d_c, h_f, tensors, pooling)
 
 
 def pool_enrollments(params: BackendParams,
                      enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
     """Pool each enrollment set into its speaker representative vector.
 
-    Returns an S x d_a tensor (1 x d_a for one EnrollmentSet), tracked
-    whenever the parameters are. The N stacked embeddings are projected
-    once and the projections gathered into the sets. Masked entries are
-    zeroed and excluded from both attention softmaxes, so the result is
-    independent of their content.
+    Returns a (G * R) x d_a tensor, row g * R + r for set r of group g (1 x
+    d_a for one EnrollmentSet), tracked whenever the parameters are. Q, K,
+    V and the attention logits are computed once per group; each set then
+    takes its own masked softmaxes. Since O Wf^T = A (V Wf^T) + E Wf^T and
+    alpha O = (alpha A) V + alpha E, no set's K x d_a output O is formed.
+    Masked entries get exactly zero weight in both softmaxes, and entries
+    masked in every set of a group are zeroed, so a set's result is
+    independent of the content of its masked entries.
     """
     stack = _stack(enroll)
-    X = Tensor(stack.embeddings)
-    keep = ~stack.masked
+    g, r, k = stack.masked.shape
+    E = stack.rows()
+    X = Tensor(E)
 
-    def rows(t: Tensor) -> Tensor:
-        return ad.gather(t, stack.members, keep)
-
-    # scaled-dot self-attention with residual, masked rows forced to zero
-    E = rows(X)
-    Q = rows(ad.matmul(X, params.Wq))
-    K = rows(ad.matmul(X, params.Wk))
-    V = rows(ad.matmul(X, params.Wv))
+    # scaled-dot self-attention with residual, one softmax per set
+    Q = ad.matmul(X, params.Wq)
+    K = ad.matmul(X, params.Wk)
+    V = ad.matmul(X, params.Wv)
     scores = ad.affine(ad.matmul(Q, ad.transpose(K)), 1.0 / math.sqrt(params.d_a))
-    A = ad.softmax_masked(scores, stack.masked[:, None, :])
-    O = ad.zero_rows(ad.add(ad.matmul(A, V), E), stack.masked)
+    A = ad.softmax_masked(ad.reshape(scores, (g, 1, k, k)), stack.masked[:, :, None, :])
 
-    # feed-forward self-attention pooling over the SDSA outputs
-    hidden = ad.tanh(ad.add(ad.matmul(O, ad.transpose(params.Wf)), params.bf))
+    # feed-forward self-attention pooling over the SDSA outputs O = A V + E
+    Wf_t = ad.transpose(params.Wf)
+    VW = ad.reshape(ad.matmul(V, Wf_t), (g, 1, k, params.h_f))
+    EW = ad.add(ad.matmul(Tensor(E[:, None]), Wf_t), params.bf)
+    hidden = ad.tanh(ad.add(ad.matmul(A, VW), EW))
     alpha = ad.softmax_masked(ad.row_dot(hidden, params.vf), stack.masked)
-    return ad.weighted_mean(O, alpha)
+    alpha_A = ad.reshape(ad.matmul(ad.reshape(alpha, (g, r, 1, k)), A), (g, r, k))
+    h = ad.add(ad.matmul(alpha_A, V), ad.matmul(alpha, X))
+    return ad.reshape(h, (g * r, params.d_a))
 
 
 def average_pool(enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
-    """Arithmetic mean of each set's bona-fide enrollment embeddings only."""
+    """Arithmetic mean of each set's bona-fide enrollment embeddings only,
+    in pool_enrollments' row order. Untracked: it has no parameters."""
     stack = _stack(enroll)
-    keep = ~stack.masked
-    return ad.weighted_mean(ad.gather(Tensor(stack.embeddings), stack.members, keep),
-                            keep.astype(np.float64))
+    keep = (~stack.masked).astype(np.float64)
+    h = (keep @ stack.rows()) / keep.sum(axis=-1, keepdims=True)
+    return Tensor(h.reshape(-1, h.shape[-1]))
 
 
 def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,

@@ -105,7 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--cm-embeddings", required=True)
     sc.add_argument("--out", required=True, help="score file to write")
     sc.add_argument("--scorer", choices=SCORERS, default="fused")
-    sc.add_argument("--pooling", choices=POOLING_MODES, default="attention")
+    sc.add_argument("--pooling", choices=POOLING_MODES,
+                    help="pooling of a version-1 checkpoint (default attention); a "
+                         "version-2 checkpoint records its own")
 
     ev = sub.add_parser("evaluate", help="compute EERs from a score file")
     ev.add_argument("--scores", required=True)
@@ -196,11 +198,15 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     params = BackendParams.load(args.checkpoint)
+    if params.pooling and args.pooling and args.pooling != params.pooling:
+        raise dio.DataError(f"{args.checkpoint}: the checkpoint was trained with "
+                            f"{params.pooling} pooling, not {args.pooling}")
     trials = dio.load_trials(args.trials)
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
     records = score_trials(params, trials, asv_map, cm_map,
-                           pooling=args.pooling, scorer=args.scorer)
+                           pooling=params.pooling or args.pooling or "attention",
+                           scorer=args.scorer)
     dio.save_scores(records, args.out)
     print(f"{len(records)} trials scored with {args.scorer} -> {args.out}")
     return EXIT_OK

@@ -75,10 +75,10 @@ class PairBatch(TrialBatch, Sequence):
     """The M * K * M training pairs of a mini-batch, as arrays.
 
     Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
-    holds utterance j of speaker l, and enrollment set n*K + j is speaker n
-    without slot j. Pair i tests row test_row[i] against enrollment set
-    enroll_set[i]; positive[i] is its label. Indexing or iterating yields
-    TrainingPair views.
+    holds utterance j of speaker l. The enrollment stack has one group per
+    speaker, and its set n*K + j is speaker n without slot j. Pair i tests
+    row test_row[i] against enrollment set enroll_set[i]; positive[i] is its
+    label. Indexing or iterating yields TrainingPair views.
     """
 
     batch: MiniBatch
@@ -165,20 +165,22 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     For test utterance m of speaker l, the enrollment against speaker n is
     speaker n's utterances with index m excluded, mirroring the row pattern
     where a test at slot 2 pairs with slots 1, 3, 4 of every speaker.
-    Spoofed enrollment entries stay in the set but are flagged for masking.
+    Each speaker's K utterances form one enrollment group; the excluded
+    slot and the spoofed entries stay in it but are masked.
     Pairs are ordered by (l, m, n).
     """
     m, k = batch.m, batch.k
     utterances = [u for block in batch.speakers for u in block.utterances]
     asv = np.array([u.asv_embedding.values for u in utterances])
     bonafide = np.array([u.bonafide for u in utterances])
-    slots = np.array([[j for j in range(k) if j != x] for x in range(k)])
-    members = (np.arange(m)[:, None, None] * k + slots).reshape(m * k, k - 1)
+    members = np.arange(m * k).reshape(m, k)
+    # set j of speaker n's group masks the spoofed slots and slot j
+    masked = ~bonafide[members][:, None, :] | np.eye(k, dtype=bool)
     test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
     return PairBatch(
         test_asv=asv,
         test_cm=np.array([u.cm_embedding.values for u in utterances]),
-        enroll=EnrollmentStack(asv, members, ~bonafide[members]),
+        enroll=EnrollmentStack(asv, members, masked),
         test_row=test_row,
         enroll_set=enroll_speaker * k + test_row % k,
         batch=batch,

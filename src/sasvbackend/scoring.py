@@ -45,17 +45,18 @@ def _index(keys) -> tuple[dict, np.ndarray]:
 
 def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
     """The trials as one forward-pass batch. Each distinct (claimed speaker,
-    enrollment ids) set and each distinct test utterance appears once;
-    shorter enrollment sets are padded with masked entries."""
+    enrollment ids) set is an enrollment group of its own (R = 1) and each
+    distinct test utterance appears once; shorter enrollment sets are
+    padded with masked entries."""
     claims, enroll_set = _index((t.claimed_speaker, t.enroll_ids) for t in trials)
     tests, test_row = _index(t.test_id for t in trials)
     width = max(len(ids) for _, ids in claims)
     members = np.zeros((len(claims), width), dtype=np.intp)
-    masked = np.ones((len(claims), width), dtype=bool)
+    masked = np.ones((len(claims), 1, width), dtype=bool)
     enroll_ids: list[str] = []
     for s, (_, ids) in enumerate(claims):
         members[s, :len(ids)] = np.arange(len(ids)) + len(enroll_ids)
-        masked[s, :len(ids)] = False
+        masked[s, 0, :len(ids)] = False
         enroll_ids += ids
     return TrialBatch(np.array([asv_map[t] for t in tests]), np.array([cm_map[t] for t in tests]),
                       EnrollmentStack(np.array([asv_map[e] for e in enroll_ids]), members, masked),

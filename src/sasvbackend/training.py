@@ -182,7 +182,8 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
 
     rng = np.random.default_rng(config.seed)
     tape = Tape()
-    params = BackendParams.init(d_a, d_c, config.hidden_dim, rng, tape=tape)
+    params = BackendParams.init(d_a, d_c, config.hidden_dim, rng, tape=tape,
+                                pooling=config.pooling)
     state = OptimizerState(
         velocities={name: np.zeros_like(t.value) for name, t in params.parameters()},
         learning_rate=config.learning_rate,

@@ -72,6 +72,33 @@ def per_pair_batch_loss(params, pairs, config):
     return ad.affine(total, 1.0 / len(selected)), selected
 
 
+def _softmax(x):
+    w = np.exp(x - x.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def pooled_per_set(params, stack, pooling="attention"):
+    """Reference pooling written from the model description, one set at a
+    time: E holds the set's unmasked rows, Q, K, V = E Wq, E Wk, E Wv, the
+    SDSA output is O = softmax(Q K^T / sqrt(d_a)) V + E, the feed-forward
+    weights are alpha = softmax(tanh(O Wf^T + bf) vf^T) and the pooled
+    vector is alpha^T O; averaging pools to the mean of E. Row g * R + r
+    is set r of group g. Calls no package pooling code."""
+    P = {name: t.value for name, t in params.parameters()}
+    out = []
+    for members, masks in zip(stack.members, stack.masked):
+        for mask in masks:
+            E = stack.embeddings[members[~mask]]
+            if pooling == "average":
+                out.append(E.mean(axis=0))
+                continue
+            Q, K, V = E @ P["Wq"], E @ P["Wk"], E @ P["Wv"]
+            O = _softmax(Q @ K.T / np.sqrt(E.shape[1])) @ V + E
+            alpha = _softmax(np.tanh(O @ P["Wf"].T + P["bf"][0]) @ P["vf"][0])
+            out.append(alpha @ O)
+    return np.array(out)
+
+
 def gathered_cos(batch, h):
     """Reference ASV-head cosine: both operands gathered to one row per
     trial, then row_dot over the product of the per-trial row norms."""

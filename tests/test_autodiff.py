@@ -214,8 +214,9 @@ class TestBackward:
 
 
     def test_stacked_ops_match_finite_differences(self):
-        # gather, stacked and flat matmul, per-set softmax masks, row_dot,
-        # row norms, weighted_mean and broadcasting in one graph
+        # gather, reshape, stacked and flat matmul over 3 and 4 axes, logits
+        # broadcast against per-set softmax masks, row_dot, row norms and
+        # broadcasting in one graph
         rng = np.random.default_rng(11)
         tape = ad.Tape()
         W = tape.parameter(rng.standard_normal((3, 3)) * 0.5)
@@ -223,17 +224,22 @@ class TestBackward:
         c = tape.parameter(0.8)
         X = ad.Tensor(rng.standard_normal((5, 3)))
         q = ad.Tensor(rng.standard_normal((4, 3)))
-        members = np.array([[0, 1, 2], [2, 3, 4], [4, 0, 1]])  # rows shared by sets
-        masked = np.array([[False, True, False], [False, False, False], [True, False, False]])
-        pair_set = np.array([0, 1, 2, 1])
+        members = np.array([[0, 1, 2], [2, 3, 4], [4, 0, 1]])  # rows shared by groups
+        # two sets per group, each under its own mask
+        masked = np.array([[[False, True, False], [True, False, False]],
+                           [[False, False, False], [False, False, True]],
+                           [[True, False, False], [True, True, False]]])
+        pair_set = np.array([0, 3, 5, 1])
 
         def forward(params):
             W_, u_, c_ = params
-            P = ad.gather(ad.add(ad.matmul(X, W_), u_), members, ~masked)
-            A = ad.softmax_masked(ad.matmul(P, ad.transpose(P)), masked[:, None, :])
-            O = ad.zero_rows(ad.tanh(ad.matmul(A, P)), masked)
+            P = ad.gather(ad.add(ad.matmul(X, W_), u_), members)
+            A = ad.softmax_masked(ad.reshape(ad.matmul(P, ad.transpose(P)), (3, 1, 3, 3)),
+                                  masked[:, :, None, :])
+            O = ad.zero_rows(ad.tanh(ad.matmul(A, ad.reshape(P, (3, 1, 3, 3)))), masked)
             alpha = ad.softmax_masked(ad.row_dot(ad.add(O, u_), u_), masked)
-            h = ad.gather(ad.weighted_mean(O, alpha), pair_set)
+            pooled = ad.matmul(ad.reshape(alpha, (3, 2, 1, 3)), O)
+            h = ad.gather(ad.reshape(pooled, (6, 3)), pair_set)
             cos = ad.div(ad.row_dot(q, h), ad.mul(ad.norm(q), ad.norm(h)))
             p = ad.sigmoid(ad.add(ad.mul(c_, cos), ad.sub(c_, ad.Tensor(0.3))))
             return ad.row_dot(ad.affine(ad.log(p), -1.0), ad.Tensor([1.0, 0.0, 2.0, 1.0]))
@@ -248,16 +254,42 @@ class TestBackward:
 
 
 class TestBatchedOps:
-    def test_gather_accumulates_repeats_and_blocks_kept_false(self):
+    def test_gather_accumulates_repeats(self):
         tape = ad.Tape()
         x = tape.parameter(np.arange(6.0).reshape(3, 2))
-        out = ad.gather(x, [[0, 2], [0, 1]], [[True, True], [True, False]])
-        assert np.array_equal(out.value, [[[0, 1], [4, 5]], [[0, 1], [0, 0]]])
-        pooled = ad.weighted_mean(out, [[1.0, 1.0], [1.0, 1.0]])
-        row_sums = ad.row_dot(pooled, ad.Tensor([[1.0, 1.0]]))
-        tape.backward(ad.row_dot(row_sums, ad.Tensor([0.5, 0.5])))
-        # row 0 picked twice, row 1 only in a blocked slot
-        assert np.array_equal(x.grad, [[0.5, 0.5], [0.0, 0.0], [0.25, 0.25]])
+        out = ad.gather(x, [[0, 2], [0, 0]])
+        assert np.array_equal(out.value, [[[0, 1], [4, 5]], [[0, 1], [0, 1]]])
+        weights = ad.Tensor([[0.5, 0.5, 0.25, 0.25, 1.0, 1.0, 2.0, 2.0]])
+        tape.backward(ad.row_dot(ad.reshape(out, (1, 8)), weights))
+        # row 0 picked three times, row 1 never
+        assert np.array_equal(x.grad, [[3.5, 3.5], [0.0, 0.0], [0.25, 0.25]])
+
+    def test_reshape_round_trips_values_and_gradient(self):
+        tape = ad.Tape()
+        x = tape.parameter(np.arange(12.0).reshape(3, 4))
+        y = ad.reshape(x, (1, 3, 2, 2))
+        assert y.shape == (1, 3, 2, 2) and np.array_equal(y.value.reshape(3, 4), x.value)
+        tape.backward(ad.row_dot(ad.reshape(ad.mul(y, y), (1, 12)), ad.Tensor(np.ones((1, 12)))))
+        assert np.array_equal(x.grad, 2.0 * x.value)
+
+    def test_logits_broadcast_against_larger_mask(self):
+        rng = np.random.default_rng(2)
+        tape = ad.Tape()
+        logits = tape.parameter(rng.standard_normal((2, 3, 3)))
+        masked = np.array([[[False, True, False], [True, False, False]],
+                           [[False, False, False], [False, False, True]]])
+        y = ad.softmax_masked(ad.reshape(logits, (2, 1, 3, 3)), masked[:, :, None, :])
+        assert y.shape == (2, 2, 3, 3)
+        for g in range(2):
+            for r in range(2):
+                one = ad.softmax_masked(ad.Tensor(logits.value[g]), masked[g, r]).value
+                assert np.array_equal(y.value[g, r], one)
+        # the gradient sums back over the sets that share a group's logits
+        weights = ad.Tensor(rng.standard_normal((1, 36)))
+        tape.backward(ad.row_dot(ad.reshape(y, (1, 36)), weights))
+        w = weights.value.reshape(2, 2, 3, 3)
+        want = (y.value * (w - (w * y.value).sum(-1, keepdims=True))).sum(axis=1)
+        assert np.allclose(logits.grad, want, rtol=1e-14, atol=1e-15)
 
     def test_per_set_mask_gives_exact_zeros(self):
         logits = ad.Tensor(np.random.default_rng(0).standard_normal((2, 3, 3)))
@@ -282,11 +314,9 @@ class TestBatchedOps:
         with pytest.raises(ad.ShapeError):
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((3, 2))))
         with pytest.raises(ad.ShapeError):
-            ad.weighted_mean(ad.Tensor(np.ones((2, 3))), [1.0, 1.0, 1.0, 1.0])
-
-    def test_zero_weight_sum_rejected(self):
-        with pytest.raises(ValueError):
-            ad.weighted_mean(ad.Tensor(np.ones((2, 3))), [[0.0, 0.0], [1.0, 0.0]])
+            ad.softmax_masked(ad.Tensor(np.ones((2, 3, 3))), np.zeros((4, 1, 3), dtype=bool))
+        with pytest.raises(ad.ShapeError):
+            ad.Tensor(np.ones((1, 1, 1, 1, 1)))
 
 
 class TestPairDot:
@@ -330,6 +360,20 @@ class TestPairDot:
         assert np.array_equal(out, ad.row_dot(ad.gather(a, ia), ad.gather(b, ib)).value)
         # a pair's value does not depend on which pairs share the call
         assert np.array_equal(out[17:23], ad.pair_dot(a, b, ia[17:23], ib[17:23]).value)
+
+    # the corpus-scale pair count, and one that ends in a partial block
+    @pytest.mark.parametrize("n_pairs", [2560, 549])
+    def test_forward_over_several_blocks_is_row_dot_bitwise(self, n_pairs):
+        rng = np.random.default_rng(n_pairs)
+        a, b = ad.Tensor(rng.standard_normal((160, 192))), ad.Tensor(rng.standard_normal((160, 192)))
+        ia, ib = rng.integers(0, 160, n_pairs), rng.integers(0, 160, n_pairs)
+        out = ad.pair_dot(a, b, ia, ib).value
+        assert out.shape == (n_pairs,)
+        assert np.array_equal(out, ad.row_dot(ad.gather(a, ia), ad.gather(b, ib)).value)
+        # an index array of any shape, blocked over its flattened pairs
+        cols = n_pairs // 3
+        grid = ad.pair_dot(a, b, ia[:3 * cols].reshape(3, cols), ib[:3 * cols].reshape(3, cols))
+        assert np.array_equal(grid.value, out[:3 * cols].reshape(3, cols))
 
 
 class TestDeterminism:

@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gathered_cos
+from oracles import gathered_cos, pooled_per_set
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
 from sasvbackend import data as dio
 from sasvbackend import sampling, training
 
 
-def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None):
-    return bk.BackendParams.init(d_a, d_c, h_f, np.random.default_rng(seed), tape=tape)
+def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None, pooling=None):
+    return bk.BackendParams.init(d_a, d_c, h_f, np.random.default_rng(seed), tape=tape,
+                                 pooling=pooling)
 
 
 def zero_attention_params(d_a=4, d_c=3, h_f=2):
@@ -267,7 +268,7 @@ def random_trial(rng, d_a=4, d_c=3, k=3):
 def forward_one(params, q_asv, q_cm, enroll, pooling="attention"):
     """forward_batch on a batch holding the single trial (q, enroll)."""
     stack = bk.EnrollmentStack(enroll.matrix(), np.arange(len(enroll))[None],
-                               enroll.spoof_mask()[None])
+                               enroll.spoof_mask()[None, None])
     batch = bk.TrialBatch(q_asv.values[None], q_cm.values[None], stack,
                           np.array([0]), np.array([0]))
     return bk.forward_batch(params, batch, pooling)
@@ -350,6 +351,79 @@ class TestAsvHeadPerDistinctRow:
         assert np.array_equal(cos, gathered_cos(pairs, h).value)
 
 
+def padded_stack(rng, lengths, d_a, spoofed=()):
+    """One group per set (R = 1), padded to the longest set like a scoring
+    pass; spoofed holds (set, slot) entries masked as spoofed."""
+    members = np.zeros((len(lengths), max(lengths)), dtype=np.intp)
+    masked = np.ones((len(lengths), 1, max(lengths)), dtype=bool)
+    for s, length in enumerate(lengths):
+        members[s, :length] = np.arange(length) + sum(lengths[:s])
+        masked[s, 0, :length] = False
+    for s, slot in spoofed:
+        masked[s, 0, slot] = True
+    return bk.EnrollmentStack(rng.standard_normal((sum(lengths), d_a)), members, masked)
+
+
+def leave_one_out_stack(rng, m, k, d_a):
+    """One group per speaker whose K sets each leave one slot out, no spoofs."""
+    masked = np.broadcast_to(np.eye(k, dtype=bool), (m, k, k))
+    return bk.EnrollmentStack(rng.standard_normal((m * k, d_a)),
+                              np.arange(m * k).reshape(m, k), masked)
+
+
+class TestGroupPooling:
+    CASES = {
+        "padded": lambda rng: padded_stack(rng, [1, 3, 5, 2], 6),
+        "padded_spoofed": lambda rng: padded_stack(rng, [4, 2, 5], 6, [(0, 1), (2, 0), (2, 3)]),
+        "leave_one_out": lambda rng: leave_one_out_stack(rng, 3, 4, 6),
+        "leave_one_out_spoofed": lambda rng: pair_batch(6, seed=int(rng.integers(99))).enroll,
+    }
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_explicit_per_set_reference(self, case, pooling):
+        rng = np.random.default_rng(len(case))
+        stack = self.CASES[case](rng)
+        params = make_params(d_a=6, d_c=5, h_f=3, seed=len(case))
+        got = (bk.pool_enrollments(params, stack) if pooling == "attention"
+               else bk.average_pool(stack)).value
+        want = pooled_per_set(params, stack, pooling)
+        assert got.shape == (stack.masked.shape[0] * stack.masked.shape[1], 6)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_excluded_slot_cannot_leak(self, pooling):
+        pairs = pair_batch(6, seed=3)
+        k = 4
+        n = 2
+        j = int(np.flatnonzero(pairs.bonafide[n * k:(n + 1) * k])[0])
+        params = make_params(d_a=6, d_c=5, h_f=3, seed=3)
+
+        def pooled(embeddings):
+            stack = bk.EnrollmentStack(embeddings, pairs.enroll.members, pairs.enroll.masked)
+            return (bk.pool_enrollments(params, stack) if pooling == "attention"
+                    else bk.average_pool(stack)).value
+        changed = pairs.enroll.embeddings.copy()
+        changed[n * k + j] = np.random.default_rng(0).standard_normal(6) * 100.0
+        before, after = pooled(pairs.enroll.embeddings), pooled(changed)
+        assert np.array_equal(before[n * k + j], after[n * k + j])
+        # the row does reach the speaker's sets that keep it
+        other = next(s for s in range(k) if s != j and not pairs.enroll.masked[n, s].all())
+        assert not np.array_equal(before[n * k + other], after[n * k + other])
+
+    def test_tape_holds_no_per_set_stack(self):
+        m, k = 4, 4
+        pairs = pair_batch(7, m=m, k=k)
+        tape = ad.Tape()
+        params = bk.BackendParams.init(7, 5, 3, np.random.default_rng(1), tape=tape)
+        config = training.TrainConfig(speakers_per_batch=m, utterances_per_speaker=k,
+                                      hidden_dim=3, hard_negative_top_n=10)
+        training.batch_loss(params, pairs, config)
+        shapes = [out.shape for out, _ in tape._records]
+        assert len(shapes) > 20
+        assert not [shape for shape in shapes if shape[:2] == (m * k, k - 1)]
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         p = make_params(d_a=6, d_c=5, h_f=3, seed=21)
@@ -362,6 +436,30 @@ class TestCheckpoint:
         second = tmp_path / "model2.ckpt"
         loaded.save(second)
         assert path.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_version_2_records_pooling_and_roundtrips(self, tmp_path, pooling):
+        p = make_params(d_a=3, d_c=2, h_f=2, seed=4)
+        p.pooling = pooling
+        path, second = tmp_path / "v2.ckpt", tmp_path / "again.ckpt"
+        p.save(path)
+        loaded = bk.BackendParams.load(path)
+        assert loaded.pooling == pooling and loaded.detach().pooling == pooling
+        loaded.save(second)
+        assert path.read_bytes() == second.read_bytes()
+        # the same weights without a mode: a version-1 file, 4 + len(mode) bytes shorter
+        p.pooling = None
+        p.save(second)
+        assert len(second.read_bytes()) == len(path.read_bytes()) - 4 - len(pooling)
+        assert bk.BackendParams.load(second).pooling is None
+
+    def test_unknown_pooling_mode_rejected(self, tmp_path):
+        p = make_params(d_a=3, d_c=2, h_f=2, seed=4, pooling="average")
+        path = tmp_path / "model.ckpt"
+        p.save(path)
+        path.write_bytes(path.read_bytes().replace(b"average", b"maximum", 1))
+        with pytest.raises(ValueError, match="model.ckpt: unknown pooling mode 'maximum'"):
+            bk.BackendParams.load(path)
 
     def test_forward_reproducible_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sasvbackend import cli
 from sasvbackend import data as dio
+from sasvbackend.backend import BackendParams
 from sasvbackend.training import TrainConfig
 
 SYNTH_SMALL = [
@@ -201,11 +202,70 @@ class TestScore:
         assert "nope1" in capsys.readouterr().err
 
 
-def score_with(checkpoint, corpus, out):
+def score_with(checkpoint, corpus, out, *flags):
     return cli.main([
         "score", "--checkpoint", str(checkpoint),
         "--trials", str(corpus / "trials_eval.tsv"), *data_args(corpus), "--out", str(out),
+        *flags,
     ])
+
+
+@pytest.fixture(scope="module")
+def trained_average(corpus, tmp_path_factory):
+    out = tmp_path_factory.mktemp("run_average")
+    code = cli.main([
+        "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+        "--out", str(out), "--seed", "1", "--pooling", "average", *TRAIN_SMALL,
+    ])
+    assert code == 0
+    return out
+
+
+def version_1_copy(checkpoint, path):
+    """The same weights in a version-1 file, which records no pooling mode."""
+    params = BackendParams.load(checkpoint)
+    params.pooling = None
+    params.save(path)
+    assert path.read_bytes()[8:12] == (1).to_bytes(4, "little")
+    return path
+
+
+class TestCheckpointPooling:
+    def test_version_2_scores_with_its_recorded_mode(self, corpus, trained_average, tmp_path):
+        ckpt = trained_average / "final.ckpt"
+        assert ckpt.read_bytes()[8:12] == (2).to_bytes(4, "little")
+        assert BackendParams.load(ckpt).pooling == "average"
+        assert score_with(ckpt, corpus, tmp_path / "implicit.tsv") == 0
+        assert score_with(ckpt, corpus, tmp_path / "explicit.tsv", "--pooling", "average") == 0
+        implicit = (tmp_path / "implicit.tsv").read_bytes()
+        assert implicit == (tmp_path / "explicit.tsv").read_bytes()
+        # attention pooling of the same weights scores differently
+        v1 = version_1_copy(ckpt, tmp_path / "v1.ckpt")
+        assert score_with(v1, corpus, tmp_path / "attention.tsv") == 0
+        assert implicit != (tmp_path / "attention.tsv").read_bytes()
+
+    def test_version_1_keeps_the_flag(self, corpus, trained_average, tmp_path):
+        ckpt = trained_average / "final.ckpt"
+        v1 = version_1_copy(ckpt, tmp_path / "v1.ckpt")
+        assert BackendParams.load(v1).pooling is None
+        for flags, name in (((), "default"), (("--pooling", "attention"), "attention"),
+                            (("--pooling", "average"), "average")):
+            assert score_with(v1, corpus, tmp_path / f"{name}.tsv", *flags) == 0
+        assert score_with(ckpt, corpus, tmp_path / "v2.tsv") == 0
+        scores = {name: (tmp_path / f"{name}.tsv").read_bytes()
+                  for name in ("default", "attention", "average", "v2")}
+        assert scores["default"] == scores["attention"] != scores["average"] == scores["v2"]
+
+    @pytest.mark.parametrize("trained_with, flag", [("average", "attention"),
+                                                    ("attention", "average")])
+    def test_disagreeing_pooling_flag_exits_2_naming_checkpoint(
+            self, corpus, trained, trained_average, tmp_path, capsys, trained_with, flag):
+        ckpt = (trained_average if trained_with == "average" else trained) / "final.ckpt"
+        out = tmp_path / "s.tsv"
+        assert score_with(ckpt, corpus, out, "--pooling", flag) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and trained_with in err and flag in err
+        assert not out.exists()
 
 
 class TestCorruptCheckpoint:
