@@ -261,8 +261,9 @@ def main(argv=None) -> int:
     except (TrainingDivergedError, PoolExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TRAINING
-    except ZeroNormError as exc:  # only train and score read ASV embeddings
-        print(f"error: {args.asv_embeddings}: {exc}", file=sys.stderr)
+    except ZeroNormError as exc:
+        path = getattr(args, "asv_embeddings", None)  # only train and score have one
+        print(f"error: {exc}" if path is None else f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_IO
     except (dio.DataError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -69,7 +69,11 @@ def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,
 
     The loss is the mean BCE over every pair of the batch; hard selection
     is disabled by setting the negative budget above the batch size.
+    Raises ValueError naming a dimension below 1.
     """
+    for name, dim in (("d_a", d_a), ("d_c", d_c)):
+        if dim < 1:
+            raise ValueError(f"{name} must be at least 1, got {dim}")
     rng = np.random.default_rng(seed)
     pool = _random_pool(rng, speakers, utterances // 2 + 1, d_a, d_c)
     config = TrainConfig(

@@ -7,18 +7,20 @@ every other speaker's utterances at the same excluded index, giving exactly
 M * K * M pairs per batch. A pair is positive only when the speakers match
 AND the test utterance is bona fide; spoofed tests of the correct speaker
 are negatives.
+
+The pairs are arrays: a test row, an enrollment set and a label each. A
+block holds K/2 >= 2 bona-fide entries, so every enrollment keeps one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .backend import Embedding, EnrollmentSet, EnrollmentStack, TrialBatch
-
-MAX_REDRAWS = 100
+from .backend import Embedding, EnrollmentStack, TrialBatch
 
 
 class PoolExhaustedError(ValueError):
@@ -61,12 +63,11 @@ class MiniBatch:
         return len(self.speakers[0].utterances)
 
 
-@dataclass(frozen=True)
-class TrainingPair:
-    """One pair of a PairBatch, as records."""
+class TrainingPair(NamedTuple):
+    """One pair of a PairBatch: its test row, enrollment set and label."""
 
-    test: UtteranceRecord
-    enroll: EnrollmentSet
+    test_row: int
+    enroll_set: int
     positive: bool
 
 
@@ -78,27 +79,20 @@ class PairBatch(TrialBatch, Sequence):
     holds utterance j of speaker l. The enrollment stack has one group per
     speaker, and its set n*K + j is speaker n without slot j. Pair i tests
     row test_row[i] against enrollment set enroll_set[i]; positive[i] is its
-    label. Indexing or iterating yields TrainingPair views.
+    label.
     """
 
-    batch: MiniBatch
     bonafide: np.ndarray
     positive: np.ndarray
 
+    # no package code indexes pairs; the benchmark sums p.positive over them
     def __len__(self) -> int:
         return len(self.positive)
 
     def __getitem__(self, i: int) -> TrainingPair:
         i = range(len(self))[i]
-        k = self.batch.k
-        test_row = int(self.test_row[i])
-        speaker, slot = divmod(int(self.enroll_set[i]), k)
-        test = self.batch.speakers[test_row // k].utterances[test_row % k]
-        block = self.batch.speakers[speaker]
-        kept = [u for j, u in enumerate(block.utterances) if j != slot]
-        enroll = EnrollmentSet(block.speaker_id, tuple(u.asv_embedding for u in kept),
-                               tuple(u.bonafide for u in kept))
-        return TrainingPair(test, enroll, bool(self.positive[i]))
+        return TrainingPair(int(self.test_row[i]), int(self.enroll_set[i]),
+                            bool(self.positive[i]))
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:
@@ -109,23 +103,21 @@ def _group_pool(pool) -> dict[str, tuple[list, list]]:
     return by_speaker
 
 
-def _enrollment_survives_exclusion(block: SpeakerBlock) -> bool:
-    # dropping any single index must leave at least one bona-fide entry
-    return sum(1 for u in block.utterances if u.bonafide) >= 2
-
-
 def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
     """Sample a mini-batch of m speakers with k/2 bona-fide + k/2 spoofed
     utterances each, without replacement inside the batch.
 
-    Batches where excluding any single index would leave some enrollment
-    with no bona-fide entry are redrawn (at most MAX_REDRAWS times).
-    Deterministic for a given rng state.
+    Excluding one slot from a block must leave a bona-fide entry, which
+    holds for every block when k >= 4 and for none when k = 2, so k = 2
+    raises PoolExhaustedError. Deterministic for a given rng state.
     """
-    if k % 2 != 0:
-        raise ValueError(f"k must be even, got {k}")
+    if k <= 0 or k % 2 != 0:
+        raise ValueError(f"k must be positive and even, got {k}")
     if m < 2:
         raise ValueError(f"m must be at least 2, got {m}")
+    if k == 2:
+        raise PoolExhaustedError("k=2 leaves one bona-fide entry per speaker, and excluding "
+                                 "it empties the enrollment; k must be at least 4")
     by_speaker = _group_pool(pool)
     half = k // 2
     eligible = sorted(
@@ -140,23 +132,17 @@ def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
             f"({short_bona} speakers lack bona-fide utterances)"
         )
 
-    for _ in range(MAX_REDRAWS):
-        chosen = rng.choice(len(eligible), size=m, replace=False)
-        blocks = []
-        for idx in chosen:
-            speaker = eligible[int(idx)]
-            bona, spoof = by_speaker[speaker]
-            picked_bona = [bona[int(i)] for i in rng.choice(len(bona), size=half, replace=False)]
-            picked_spoof = [spoof[int(i)] for i in rng.choice(len(spoof), size=half, replace=False)]
-            utterances = picked_bona + picked_spoof
-            order = rng.permutation(k)
-            blocks.append(SpeakerBlock(speaker, tuple(utterances[int(i)] for i in order)))
-        if all(_enrollment_survives_exclusion(b) for b in blocks):
-            return MiniBatch(tuple(blocks))
-    raise PoolExhaustedError(
-        f"could not draw a batch with usable enrollments in {MAX_REDRAWS} attempts "
-        f"(k={k} leaves {half} bona-fide entries, excluding one can empty them)"
-    )
+    chosen = rng.choice(len(eligible), size=m, replace=False)
+    blocks = []
+    for idx in chosen:
+        speaker = eligible[int(idx)]
+        bona, spoof = by_speaker[speaker]
+        picked_bona = [bona[int(i)] for i in rng.choice(len(bona), size=half, replace=False)]
+        picked_spoof = [spoof[int(i)] for i in rng.choice(len(spoof), size=half, replace=False)]
+        utterances = picked_bona + picked_spoof
+        order = rng.permutation(k)
+        blocks.append(SpeakerBlock(speaker, tuple(utterances[int(i)] for i in order)))
+    return MiniBatch(tuple(blocks))
 
 
 def expand_pairs(batch: MiniBatch) -> PairBatch:
@@ -183,7 +169,6 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
         enroll=EnrollmentStack(asv, members, masked),
         test_row=test_row,
         enroll_set=enroll_speaker * k + test_row % k,
-        batch=batch,
         bonafide=bonafide,
         positive=(enroll_speaker == test_row // k) & bonafide[test_row],
     )

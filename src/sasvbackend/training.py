@@ -70,8 +70,9 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.hard_negative_top_n < 1:
             raise ValueError("hard_negative_top_n must be at least 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+        for name in ("epochs", "hidden_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
         if self.hard_selection not in HARD_SELECTION_MODES:

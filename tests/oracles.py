@@ -44,27 +44,38 @@ def brute_force_eer(positives, negatives):
     raise AssertionError("no crossing found")
 
 
-def per_pair_batch_loss(params, pairs, config):
+def per_pair_batch_loss(params, pairs, config, batch):
     """Reference training loss: one scalar graph per pair.
 
-    Each pair's enrollment set is pooled on its own, both heads and the
-    fusion run on 1 x 1 values, the selected losses are summed one by one
-    in pair order and the sum is scaled by 1/len(selected). Returns
+    Each pair's test utterance and enrollment set are rebuilt as records
+    from the MiniBatch: row l*K + j is utterance j of speaker l, and set
+    n*K + j is speaker n's utterances without slot j. The label follows
+    from the records. Each enrollment set is pooled on its own, both heads
+    and the fusion run on 1 x 1 values, the selected losses are summed one
+    by one in pair order and the sum is scaled by 1/len(selected). Returns
     (loss, selected) like training.batch_loss.
     """
+    k = batch.k
     pooled = {}
     losses = []
-    for pair in pairs:
-        key = (pair.enroll.speaker_id, tuple(e.utterance_id for e in pair.enroll.embeddings))
-        if key not in pooled:
-            pooled[key] = (bk.pool_enrollments(params, pair.enroll)
-                           if config.pooling == "attention" else bk.average_pool(pair.enroll))
-        _, _, p_asv = bk.asv_probability(params, ad.Tensor(pair.test.asv_embedding.values),
-                                         pooled[key])
-        _, p_cm = bk.cm_probability(params, ad.Tensor(pair.test.cm_embedding.values))
+    labels = []
+    for test_row, enroll_set in zip(pairs.test_row, pairs.enroll_set):
+        test = batch.speakers[test_row // k].utterances[test_row % k]
+        speaker, slot = divmod(int(enroll_set), k)
+        block = batch.speakers[speaker]
+        if (speaker, slot) not in pooled:
+            kept = [u for j, u in enumerate(block.utterances) if j != slot]
+            enroll = bk.EnrollmentSet(block.speaker_id, tuple(u.asv_embedding for u in kept),
+                                      tuple(u.bonafide for u in kept))
+            pooled[speaker, slot] = (bk.pool_enrollments(params, enroll)
+                                     if config.pooling == "attention" else bk.average_pool(enroll))
+        _, _, p_asv = bk.asv_probability(params, ad.Tensor(test.asv_embedding.values),
+                                         pooled[speaker, slot])
+        _, p_cm = bk.cm_probability(params, ad.Tensor(test.cm_embedding.values))
         _, p = bk.fuse(params, p_cm, p_asv)
-        losses.append(tr.bce_loss(p, pair.positive))
-    selected = tr.select_hard([loss.item() for loss in losses], [p.positive for p in pairs],
+        labels.append(test.speaker_id == block.speaker_id and test.bonafide)
+        losses.append(tr.bce_loss(p, labels[-1]))
+    selected = tr.select_hard([loss.item() for loss in losses], labels,
                               config.hard_negative_top_n, config.hard_selection)
     total = losses[selected[0]]
     for i in selected[1:]:

@@ -149,16 +149,19 @@ def test_criterion_2_sampler_oracle():
     (M=16, K=10) gives 2560 pairs / 80 positives."""
     for m, k, want_pairs, want_pos in ((3, 4, 36, 6), (16, 10, 2560, 80)):
         pool = _counting_pool(m + 2, k // 2)
-        pairs = expand_pairs(draw_batch(pool, m, k, np.random.default_rng(0)))
+        batch = draw_batch(pool, m, k, np.random.default_rng(0))
+        pairs = expand_pairs(batch)
         positives = [p for p in pairs if p.positive]
+        utterances = [u for block in batch.speakers for u in block.utterances]
         # exhaustive enumeration of the label rule over every pair
         for p in pairs:
-            assert p.positive == (
-                p.test.speaker_id == p.enroll.speaker_id and p.test.bonafide
-            )
-            assert p.test.utterance_id not in {
-                e.utterance_id for e in p.enroll.embeddings
-            }
+            test = utterances[p.test_row]
+            group, slot = divmod(p.enroll_set, pairs.enroll.masked.shape[1])
+            enrolled = [utterances[row] for s, row in enumerate(pairs.enroll.members[group])
+                        if s != slot]
+            (speaker,) = {u.speaker_id for u in enrolled}
+            assert p.positive == (test.speaker_id == speaker and test.bonafide)
+            assert test.utterance_id not in {u.utterance_id for u in enrolled}
         assert len(pairs) == want_pairs, (m, k)
         assert len(positives) == want_pos, (m, k)
     print("criterion 2 PASS: 36/6 pairs at (3,4), 2560/80 pairs at (16,10)")

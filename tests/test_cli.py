@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sasvbackend import cli
 from sasvbackend import data as dio
-from sasvbackend.backend import BackendParams
+from sasvbackend.backend import BackendParams, ZeroNormError
 from sasvbackend.training import TrainConfig
 
 SYNTH_SMALL = [
@@ -117,6 +117,38 @@ class TestTrain:
         ])
         assert code == 3
         assert "speakers" in capsys.readouterr().err
+
+
+class TestNonPositiveDimensions:
+    @pytest.mark.parametrize("command, flags, config, name", [
+        ("train", ["--hidden-dim", "0"], None, "hidden_dim"),
+        ("train", ["--hidden-dim", "-2"], None, "hidden_dim"),
+        ("train", [], "hidden_dim=0\n", "hidden_dim"),
+        ("gradcheck", ["--hidden-dim", "0"], None, "hidden_dim"),
+        ("gradcheck", ["--asv-dim", "0"], None, "d_a"),
+        ("gradcheck", ["--cm-dim", "0"], None, "d_c"),
+    ], ids=["train-zero", "train-negative", "train-config", "gradcheck-hidden",
+            "gradcheck-asv", "gradcheck-cm"])
+    def test_exits_2_naming_the_dimension(self, corpus, tmp_path, capsys,
+                                          command, flags, config, name):
+        argv = [command, *flags]
+        if command == "train":
+            argv += ["--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+                     "--out", str(tmp_path / "run"), *TRAIN_SMALL[:-4]]  # no --hidden-dim
+        if config is not None:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and f"{name} must be at least 1" in err
+
+    def test_zero_vector_outside_train_and_score_names_no_path(self, monkeypatch, capsys):
+        def zero_vector(**kwargs):
+            raise ZeroNormError("ASV embedding 'g0-0' is a zero vector")
+        monkeypatch.setattr(cli, "gradient_check", zero_vector)
+        assert cli.main(["gradcheck"]) == 2
+        assert capsys.readouterr().err == "error: ASV embedding 'g0-0' is a zero vector\n"
 
 
 class TestScore:

@@ -27,6 +27,21 @@ def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, see
     return pool
 
 
+def pair_records(batch, pairs, i):
+    """Pair i read back from the arrays as records: its test utterance, the
+    speaker of its enrollment group, the K - 1 utterances of the group
+    other than the set's held-out slot, and the set's mask over them."""
+    utterances = [u for block in batch.speakers for u in block.utterances]
+    for row, u in enumerate(utterances):
+        assert np.array_equal(pairs.test_asv[row], u.asv_embedding.values)
+    group, slot = divmod(int(pairs.enroll_set[i]), pairs.enroll.masked.shape[1])
+    members = [utterances[row] for row in pairs.enroll.members[group]]
+    (speaker,) = {u.speaker_id for u in members}
+    kept = [s for s in range(len(members)) if s != slot]
+    return (utterances[pairs.test_row[i]], speaker, [members[s] for s in kept],
+            pairs.enroll.masked[group, slot][kept])
+
+
 class TestDrawBatch:
     def test_table_layout_m3_k4(self):
         pool = make_pool(3, 2, 2)
@@ -77,13 +92,43 @@ class TestDrawBatch:
     def test_k2_always_degenerate(self):
         # one bona-fide entry per block: excluding it empties the enrollment
         pool = make_pool(4, 3, 3)
-        with pytest.raises(sm.PoolExhaustedError, match="attempts"):
+        with pytest.raises(sm.PoolExhaustedError, match="at least 4"):
             sm.draw_batch(pool, 3, 2, np.random.default_rng(0))
 
     def test_odd_k_rejected(self):
         pool = make_pool(4, 3, 3)
         with pytest.raises(ValueError, match="even"):
             sm.draw_batch(pool, 3, 5, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("k", [0, -2, -3])
+    def test_non_positive_k_rejected(self, k):
+        pool = make_pool(4, 3, 3)
+        with pytest.raises(ValueError, match=f"^k must be positive and even, got {k}$") as info:
+            sm.draw_batch(pool, 3, k, np.random.default_rng(0))
+        assert not isinstance(info.value, sm.PoolExhaustedError)  # exit 2, not 3
+
+    @given(n_speakers=st.integers(2, 6), extra_bona=st.integers(0, 3),
+           extra_spoof=st.integers(0, 3), m=st.integers(2, 6), half_k=st.integers(1, 4),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_and_enrollment_keeps_bonafide(self, n_speakers, extra_bona,
+                                                         extra_spoof, m, half_k, seed):
+        k = 2 * half_k
+        pool = make_pool(n_speakers, half_k + extra_bona, half_k + extra_spoof, seed=seed)
+        rng = np.random.default_rng(seed)
+        if k == 2 or m > n_speakers:
+            with pytest.raises(sm.PoolExhaustedError):
+                sm.draw_batch(pool, m, k, rng)
+            return
+        batch = sm.draw_batch(pool, m, k, rng)
+        for block in batch.speakers:
+            assert len(block.utterances) == k
+            assert sum(u.bonafide for u in block.utterances) == half_k
+        pairs = sm.expand_pairs(batch)
+        stack = pairs.enroll
+        # (G, R, K): entry s of set r is a bona-fide row the set keeps
+        usable = ~stack.masked & pairs.bonafide[stack.members][:, None, :]
+        assert usable.any(axis=-1).all()
 
 
 class TestExpandPairs:
@@ -105,26 +150,30 @@ class TestExpandPairs:
         pool = make_pool(3, 2, 2)
         batch = sm.draw_batch(pool, 3, 4, np.random.default_rng(4))
         pairs = sm.expand_pairs(batch)
-        same_speaker_spoofed = [
-            p for p in pairs
-            if p.test.speaker_id == p.enroll.speaker_id and not p.test.bonafide
-        ]
+        same_speaker_spoofed = []
+        for i in range(len(pairs)):
+            test, speaker, _, _ = pair_records(batch, pairs, i)
+            if test.speaker_id == speaker and not test.bonafide:
+                same_speaker_spoofed.append(i)
         assert same_speaker_spoofed
-        assert all(not p.positive for p in same_speaker_spoofed)
+        assert all(not pairs.positive[i] for i in same_speaker_spoofed)
 
     def test_label_rule_exhaustive(self):
         pool = make_pool(4, 3, 3)
         batch = sm.draw_batch(pool, 4, 6, np.random.default_rng(6))
-        for p in sm.expand_pairs(batch):
-            expected = (p.test.speaker_id == p.enroll.speaker_id) and p.test.bonafide
-            assert p.positive == expected
+        pairs = sm.expand_pairs(batch)
+        for i in range(len(pairs)):
+            test, speaker, _, _ = pair_records(batch, pairs, i)
+            expected = (test.speaker_id == speaker) and test.bonafide
+            assert pairs.positive[i] == expected
 
     def test_enrollment_never_contains_test(self):
         pool = make_pool(3, 2, 2)
         batch = sm.draw_batch(pool, 3, 4, np.random.default_rng(7))
-        for p in sm.expand_pairs(batch):
-            enrolled = {e.utterance_id for e in p.enroll.embeddings}
-            assert p.test.utterance_id not in enrolled
+        pairs = sm.expand_pairs(batch)
+        for i in range(len(pairs)):
+            test, _, enrolled, _ = pair_records(batch, pairs, i)
+            assert test.utterance_id not in {u.utterance_id for u in enrolled}
 
     def test_enrollment_size_and_index_exclusion(self):
         pool = make_pool(3, 2, 2)
@@ -135,22 +184,25 @@ class TestExpandPairs:
         for l in range(3):
             for m_idx in range(4):
                 for n in range(3):
-                    p = pairs[i]
+                    _, _, enrolled, _ = pair_records(batch, pairs, i)
                     i += 1
-                    assert len(p.enroll) == 3
+                    assert len(enrolled) == 3
                     expected = [
                         u.utterance_id
                         for j, u in enumerate(blocks[n].utterances) if j != m_idx
                     ]
-                    assert [e.utterance_id for e in p.enroll.embeddings] == expected
+                    assert [u.utterance_id for u in enrolled] == expected
 
     def test_every_enrollment_keeps_a_bonafide(self):
         pool = make_pool(5, 2, 2)
         rng = np.random.default_rng(9)
         for _ in range(10):
             batch = sm.draw_batch(pool, 3, 4, rng)
-            for p in sm.expand_pairs(batch):
-                assert any(p.enroll.bonafide_mask)
+            pairs = sm.expand_pairs(batch)
+            for i in range(len(pairs)):
+                _, _, enrolled, masked = pair_records(batch, pairs, i)
+                assert np.array_equal(masked, [not u.bonafide for u in enrolled])
+                assert any(u.bonafide for u in enrolled)
 
     @given(m=st.integers(2, 5), half_k=st.integers(1, 3), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 """Trainer tests: loss values, hard selection, SGD update rule, full loop."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -219,13 +220,14 @@ class TestBatchedForward:
     def test_matches_per_pair_reference(self, m, half_k, top_n, pooling, mode, seed):
         rng = np.random.default_rng(seed)
         k = 2 * half_k
-        pairs = expand_pairs(draw_batch(random_pool(rng, m + 1, half_k), m, k, rng))
+        batch = draw_batch(random_pool(rng, m + 1, half_k), m, k, rng)
+        pairs = expand_pairs(batch)
         config = tr.TrainConfig(hard_negative_top_n=top_n, pooling=pooling, hidden_dim=3,
                                 hard_selection=mode, speakers_per_batch=m,
                                 utterances_per_speaker=k)
         loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, seed)
-        want, want_selected, want_grads = loss_and_grads(per_pair_batch_loss, pairs,
-                                                         config, seed)
+        want, want_selected, want_grads = loss_and_grads(
+            functools.partial(per_pair_batch_loss, batch=batch), pairs, config, seed)
         assert selected == want_selected
         assert abs(loss - want) <= self.RTOL * abs(want)
         for name, g in want_grads.items():
