@@ -22,6 +22,8 @@ to share across threads for read-only scoring.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 
@@ -59,7 +61,7 @@ class Tensor:
     ``grad`` is populated by ``Tape.backward`` and mirrors ``value``'s shape.
     """
 
-    __slots__ = ("value", "grad", "tape")
+    __slots__ = ("value", "grad", "tape", "__weakref__")
 
     def __init__(self, value, tape: "Tape | None" = None):
         self.value = _as_array(value)
@@ -84,21 +86,27 @@ class Tensor:
 
 
 class Tape:
-    """Execution-ordered record of tracked operations plus registered parameters."""
+    """Execution-ordered record of tracked operations plus registered parameters.
+
+    The tape holds its parameters by weak reference, because each of them
+    refers back to the tape: a dropped tape and its parameters are freed as
+    soon as nothing else refers to them, not at the next cyclic collection.
+    A parameter nothing else refers to leaves the tape.
+    """
 
     def __init__(self):
         self._records: list[tuple[Tensor, callable]] = []
-        self._params: list[Tensor] = []
+        self._params: list[weakref.ref] = []
 
     def parameter(self, value) -> Tensor:
         """Create a tracked parameter whose gradient is accumulated by backward()."""
         t = Tensor(value, tape=self)
-        self._params.append(t)
+        self._params.append(weakref.ref(t))
         return t
 
     @property
     def parameters(self) -> list[Tensor]:
-        return list(self._params)
+        return [p for p in (ref() for ref in self._params) if p is not None]
 
     def _record(self, out: Tensor, backward_fn) -> None:
         self._records.append((out, backward_fn))
@@ -119,7 +127,7 @@ class Tape:
             raise TrackingError("loss is not tracked on this tape")
         if loss.value.size != 1:
             raise ShapeError(f"loss must be a single value, got shape {loss.shape}")
-        for p in self._params:
+        for p in self.parameters:
             p.grad = np.zeros_like(p.value)
         for out, _ in self._records:
             out.grad = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from .backend import Embedding, ZeroNormError
 from .metrics import TRIAL_LABELS, ScoreRecord
-from .sampling import UtteranceRecord
+from .sampling import TrainingPool, UtteranceRecord
 
 ENROLL_PER_SPEAKER = 5
 
@@ -233,11 +233,12 @@ def _check_resolved(what: str, *needs) -> None:
 
 
 def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
-                  cm_map: dict[str, np.ndarray]) -> list[UtteranceRecord]:
-    """Join a manifest with both embedding maps into utterance records."""
+                  cm_map: dict[str, np.ndarray]) -> TrainingPool:
+    """Join a manifest with both embedding maps into a training pool of
+    utterance records, one per manifest entry and in its order."""
     ids = [e.utterance_id for e in manifest.utterances]
     _check_resolved("manifest", (ids, asv_map), (ids, cm_map))
-    return [
+    return TrainingPool([
         UtteranceRecord(
             speaker_id=e.speaker_id,
             utterance_id=e.utterance_id,
@@ -246,7 +247,7 @@ def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
             cm_embedding=Embedding(e.utterance_id, "cm", cm_map[e.utterance_id]),
         )
         for e in manifest.utterances
-    ]
+    ])
 
 
 def resolve_trials(trials: TrialList, asv_map, cm_map) -> None:

@@ -8,14 +8,19 @@ M * K * M pairs per batch. A pair is positive only when the speakers match
 AND the test utterance is bona fide; spoofed tests of the correct speaker
 are negatives.
 
-The pairs are arrays: a test row, an enrollment set and a label each. A
-block holds K/2 >= 2 bona-fide entries, so every enrollment keeps one.
+The training pool is built once as arrays: the ASV and CM matrices, the
+bona-fide flags and each speaker's bona-fide and spoofed row indices. A
+mini-batch is an (M, K) array of pool rows, and its pairs are arrays too:
+a test row, an enrollment set and a label each, gathered from the pool
+without reading a record. A block holds K/2 >= 2 bona-fide entries, so
+every enrollment keeps one.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,19 +53,64 @@ class SpeakerBlock:
     utterances: tuple[UtteranceRecord, ...]
 
 
-@dataclass(frozen=True)
-class MiniBatch:
-    """M speaker blocks of K utterances each (K/2 bona fide, K/2 spoofed)."""
+class TrainingPool(Sequence):
+    """The training utterances as arrays, built once from their records.
 
-    speakers: tuple[SpeakerBlock, ...]
+    Row i of asv (N x d_a), cm (N x d_c) and bonafide holds record i. The
+    speakers are in sorted id order: speaker s has the bona-fide rows
+    bona_rows[s] and the spoofed rows spoof_rows[s], each in pool order.
+    """
+
+    def __init__(self, records: Sequence[UtteranceRecord]):
+        self._records = tuple(records)
+        self.asv = np.array([r.asv_embedding.values for r in self._records], dtype=np.float64)
+        self.cm = np.array([r.cm_embedding.values for r in self._records], dtype=np.float64)
+        self.bonafide = np.array([r.bonafide for r in self._records], dtype=bool)
+        by_speaker: dict[str, tuple[list, list]] = {}
+        for row, rec in enumerate(self._records):
+            by_speaker.setdefault(rec.speaker_id, ([], []))[not rec.bonafide].append(row)
+        speakers = sorted(by_speaker)
+        self.bona_rows = [np.array(by_speaker[s][0], dtype=np.intp) for s in speakers]
+        self.spoof_rows = [np.array(by_speaker[s][1], dtype=np.intp) for s in speakers]
+        self.n_bona = np.array([len(rows) for rows in self.bona_rows], dtype=np.intp)
+        self.n_spoof = np.array([len(rows) for rows in self.spoof_rows], dtype=np.intp)
+
+    def __len__(self) -> int:
+        return len(self.bonafide)
+
+    # the record view: no step reads it; the benchmark reads records[0] and
+    # MiniBatch.speakers builds its blocks from it
+    def __getitem__(self, i):
+        return self._records[i]
+
+
+def as_pool(records: Sequence[UtteranceRecord]) -> TrainingPool:
+    """records as a TrainingPool: a pool itself, or one built from a list."""
+    return records if isinstance(records, TrainingPool) else TrainingPool(records)
+
+
+@dataclass(frozen=True, eq=False)
+class MiniBatch:
+    """M speakers' blocks of K pool rows each (K/2 bona fide, K/2 spoofed):
+    rows[l, j] is the pool row of utterance j of speaker l."""
+
+    pool: TrainingPool
+    rows: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.speakers)
+        return self.rows.shape[0]
 
     @property
     def k(self) -> int:
-        return len(self.speakers[0].utterances)
+        return self.rows.shape[1]
+
+    # no package code reads the blocks; the benchmark's untimed reference
+    # check and the tests do
+    @cached_property
+    def speakers(self) -> tuple[SpeakerBlock, ...]:
+        blocks = [tuple(self.pool[int(i)] for i in row) for row in self.rows]
+        return tuple(SpeakerBlock(utts[0].speaker_id, utts) for utts in blocks)
 
 
 class TrainingPair(NamedTuple):
@@ -95,18 +145,13 @@ class PairBatch(TrialBatch, Sequence):
                             bool(self.positive[i]))
 
 
-def _group_pool(pool) -> dict[str, tuple[list, list]]:
-    by_speaker: dict[str, tuple[list, list]] = {}
-    for rec in pool:
-        bona, spoof = by_speaker.setdefault(rec.speaker_id, ([], []))
-        (bona if rec.bonafide else spoof).append(rec)
-    return by_speaker
-
-
 def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
     """Sample a mini-batch of m speakers with k/2 bona-fide + k/2 spoofed
     utterances each, without replacement inside the batch.
 
+    pool is a TrainingPool or a sequence of records, which is built into
+    one. The eligible speakers are found from the pool's per-speaker counts,
+    and the batch holds the drawn pool rows as an (m, k) index array.
     Excluding one slot from a block must leave a bona-fide entry, which
     holds for every block when k >= 4 and for none when k = 2, so k = 2
     raises PoolExhaustedError. Deterministic for a given rng state.
@@ -118,31 +163,23 @@ def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
     if k == 2:
         raise PoolExhaustedError("k=2 leaves one bona-fide entry per speaker, and excluding "
                                  "it empties the enrollment; k must be at least 4")
-    by_speaker = _group_pool(pool)
+    pool = as_pool(pool)
     half = k // 2
-    eligible = sorted(
-        spk for spk, (bona, spoof) in by_speaker.items()
-        if len(bona) >= half and len(spoof) >= half
-    )
+    eligible = np.flatnonzero((pool.n_bona >= half) & (pool.n_spoof >= half))
     if len(eligible) < m:
-        short_bona = sum(1 for _, (b, _s) in by_speaker.items() if len(b) < half)
         raise PoolExhaustedError(
             f"need {m} speakers with >= {half} bona-fide and >= {half} spoofed "
             f"utterances, only {len(eligible)} qualify "
-            f"({short_bona} speakers lack bona-fide utterances)"
+            f"({np.count_nonzero(pool.n_bona < half)} speakers lack bona-fide utterances)"
         )
 
-    chosen = rng.choice(len(eligible), size=m, replace=False)
-    blocks = []
-    for idx in chosen:
-        speaker = eligible[int(idx)]
-        bona, spoof = by_speaker[speaker]
-        picked_bona = [bona[int(i)] for i in rng.choice(len(bona), size=half, replace=False)]
-        picked_spoof = [spoof[int(i)] for i in rng.choice(len(spoof), size=half, replace=False)]
-        utterances = picked_bona + picked_spoof
-        order = rng.permutation(k)
-        blocks.append(SpeakerBlock(speaker, tuple(utterances[int(i)] for i in order)))
-    return MiniBatch(tuple(blocks))
+    rows = np.empty((m, k), dtype=np.intp)
+    for l, speaker in enumerate(eligible[rng.choice(len(eligible), size=m, replace=False)]):
+        bona, spoof = pool.bona_rows[speaker], pool.spoof_rows[speaker]
+        rows[l, :half] = bona[rng.choice(len(bona), size=half, replace=False)]
+        rows[l, half:] = spoof[rng.choice(len(spoof), size=half, replace=False)]
+        rows[l] = rows[l, rng.permutation(k)]
+    return MiniBatch(pool, rows)
 
 
 def expand_pairs(batch: MiniBatch) -> PairBatch:
@@ -153,19 +190,21 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     where a test at slot 2 pairs with slots 1, 3, 4 of every speaker.
     Each speaker's K utterances form one enrollment group; the excluded
     slot and the spoofed entries stay in it but are masked.
-    Pairs are ordered by (l, m, n).
+    Pairs are ordered by (l, m, n). test_asv, which is also the
+    enrollment stack's embeddings, test_cm and bonafide are one gather
+    each from the pool's arrays by the batch's row indices.
     """
     m, k = batch.m, batch.k
-    utterances = [u for block in batch.speakers for u in block.utterances]
-    asv = np.array([u.asv_embedding.values for u in utterances])
-    bonafide = np.array([u.bonafide for u in utterances])
+    rows = batch.rows.reshape(-1)
+    asv = np.take(batch.pool.asv, rows, axis=0)
+    bonafide = np.take(batch.pool.bonafide, rows)
     members = np.arange(m * k).reshape(m, k)
     # set j of speaker n's group masks the spoofed slots and slot j
     masked = ~bonafide[members][:, None, :] | np.eye(k, dtype=bool)
     test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
     return PairBatch(
         test_asv=asv,
-        test_cm=np.array([u.cm_embedding.values for u in utterances]),
+        test_cm=np.take(batch.pool.cm, rows, axis=0),
         enroll=EnrollmentStack(asv, members, masked),
         test_row=test_row,
         enroll_set=enroll_speaker * k + test_row % k,

@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backend import BackendParams, POOLING_MODES, forward_batch
 from .metrics import evaluate
-from .sampling import PairBatch, draw_batch, expand_pairs
+from .sampling import PairBatch, as_pool, draw_batch, expand_pairs
 from .scoring import score_trials
 
 BCE_CLAMP = 1e-12
@@ -168,7 +168,8 @@ def batch_loss(params: BackendParams, pairs: PairBatch,
 
 def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
           dev_bundle=None) -> TrainResult:
-    """Run the full optimization loop over a pool of utterance records.
+    """Run the full optimization loop over a pool of utterance records (a
+    TrainingPool, or a sequence of records built into one before training).
 
     dev_bundle, when given, is (trials, asv_map, cm_map); the dev SV-, SPF-
     and SASV-EER of the fused scorer are then logged per epoch. Writes one
@@ -176,8 +177,8 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
     """
     if not records:
         raise ValueError("empty training pool")
-    d_a = records[0].asv_embedding.dim
-    d_c = records[0].cm_embedding.dim
+    pool = as_pool(records)
+    d_a, d_c = pool.asv.shape[1], pool.cm.shape[1]
     m = config.speakers_per_batch
     k = config.utterances_per_speaker
 
@@ -189,7 +190,7 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
         velocities={name: np.zeros_like(t.value) for name, t in params.parameters()},
         learning_rate=config.learning_rate,
     )
-    batches_per_epoch = max(1, math.ceil(len(records) / (m * k)))
+    batches_per_epoch = max(1, math.ceil(len(pool) / (m * k)))
 
     if checkpoint_dir is not None:
         checkpoint_dir = Path(checkpoint_dir)
@@ -202,7 +203,7 @@ def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
             state.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** epoch
             epoch_losses = []
             for batch_idx in range(batches_per_epoch):
-                batch = draw_batch(records, m, k, rng)
+                batch = draw_batch(pool, m, k, rng)
                 pairs = expand_pairs(batch)
                 loss, _ = batch_loss(params, pairs, config)
                 value = loss.item()

@@ -1,9 +1,9 @@
 """Independent reference implementations shared by the test suites.
 
 These deliberately avoid the library's fast code paths: plain counting
-loops, midpoint threshold sweeps, a per-pair training loss and a per-value
-embedding parser, so they can serve as oracles for the implementations
-under test.
+loops, midpoint threshold sweeps, a per-pair training loss, a sampler that
+regroups its records on every draw and a per-value embedding parser, so
+they can serve as oracles for the implementations under test.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from sasvbackend import backend as bk
 from sasvbackend import training as tr
 from sasvbackend.data import (DimensionMismatchError, DuplicateIdError, MalformedLineError,
                               _read_lines)
+from sasvbackend.sampling import PoolExhaustedError, SpeakerBlock
 
 
 def brute_force_eer(positives, negatives):
@@ -81,6 +82,53 @@ def per_pair_batch_loss(params, pairs, config, batch):
     for i in selected[1:]:
         total = ad.add(total, losses[i])
     return ad.affine(total, 1.0 / len(selected)), selected
+
+
+def _group_pool(pool) -> dict[str, tuple[list, list]]:
+    by_speaker: dict[str, tuple[list, list]] = {}
+    for rec in pool:
+        bona, spoof = by_speaker.setdefault(rec.speaker_id, ([], []))
+        (bona if rec.bonafide else spoof).append(rec)
+    return by_speaker
+
+
+def draw_batch_by_records(pool, m: int, k: int, rng: np.random.Generator):
+    """Reference sampler over a list of records: the pool is regrouped by
+    speaker on every call and the blocks are built from the records.
+    Returns the batch's SpeakerBlocks; makes the same rng calls, in the
+    same order, as sampling.draw_batch and raises the same errors."""
+    if k <= 0 or k % 2 != 0:
+        raise ValueError(f"k must be positive and even, got {k}")
+    if m < 2:
+        raise ValueError(f"m must be at least 2, got {m}")
+    if k == 2:
+        raise PoolExhaustedError("k=2 leaves one bona-fide entry per speaker, and excluding "
+                                 "it empties the enrollment; k must be at least 4")
+    by_speaker = _group_pool(pool)
+    half = k // 2
+    eligible = sorted(
+        spk for spk, (bona, spoof) in by_speaker.items()
+        if len(bona) >= half and len(spoof) >= half
+    )
+    if len(eligible) < m:
+        short_bona = sum(1 for _, (b, _s) in by_speaker.items() if len(b) < half)
+        raise PoolExhaustedError(
+            f"need {m} speakers with >= {half} bona-fide and >= {half} spoofed "
+            f"utterances, only {len(eligible)} qualify "
+            f"({short_bona} speakers lack bona-fide utterances)"
+        )
+
+    chosen = rng.choice(len(eligible), size=m, replace=False)
+    blocks = []
+    for idx in chosen:
+        speaker = eligible[int(idx)]
+        bona, spoof = by_speaker[speaker]
+        picked_bona = [bona[int(i)] for i in rng.choice(len(bona), size=half, replace=False)]
+        picked_spoof = [spoof[int(i)] for i in rng.choice(len(spoof), size=half, replace=False)]
+        utterances = picked_bona + picked_spoof
+        order = rng.permutation(k)
+        blocks.append(SpeakerBlock(speaker, tuple(utterances[int(i)] for i in order)))
+    return tuple(blocks)
 
 
 def _softmax(x):

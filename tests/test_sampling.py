@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import draw_batch_by_records
+
+from sasvbackend import autodiff as ad
 from sasvbackend import sampling as sm
-from sasvbackend.backend import Embedding
+from sasvbackend import training as tr
+from sasvbackend.backend import BackendParams, Embedding
 
 
 def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, seed=0):
@@ -129,6 +133,89 @@ class TestDrawBatch:
         # (G, R, K): entry s of set r is a bona-fide row the set keeps
         usable = ~stack.masked & pairs.bonafide[stack.members][:, None, :]
         assert usable.any(axis=-1).all()
+
+
+def uneven_pool(counts, seed, d_a=4, d_c=3):
+    """Records of speakers with (bona fide, spoofed) counts each, shuffled
+    so that a speaker's utterances are interleaved with the others'."""
+    rng = np.random.default_rng(seed)
+    pool = []
+    for s, (n_bona, n_spoof) in enumerate(counts):
+        for j in range(n_bona + n_spoof):
+            utt = f"spk{s}-{j}"  # spk10 sorts before spk2
+            pool.append(sm.UtteranceRecord(
+                speaker_id=f"spk{s}", utterance_id=utt, bonafide=j < n_bona,
+                asv_embedding=Embedding(utt, "asv", rng.standard_normal(d_a)),
+                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
+            ))
+    return [pool[i] for i in rng.permutation(len(pool))]
+
+
+def draws(draw, seed, n_draws=3):
+    """The utterance ids of n_draws consecutive batches, block by block, or
+    the error raised, followed by the rng's next value."""
+    rng = np.random.default_rng(seed)
+    try:
+        out = [[(b.speaker_id, [u.utterance_id for u in b.utterances]) for b in draw(rng)]
+               for _ in range(n_draws)]
+    except ValueError as exc:
+        out = (type(exc), str(exc))
+    return out, rng.random()
+
+
+class TestTrainingPool:
+    # mostly valid layouts, and up to five speakers with five bona-fide and
+    # five spoofed utterances, so that most examples draw batches
+    @given(counts=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=10),
+           full=st.integers(0, 5), m=st.sampled_from([2, 3, 4, 2, 3, 6, 1]),
+           k=st.sampled_from([4, 6, 8, 4, 6, 2, 3, 0, -2]), seed=st.integers(0, 10_000),
+           as_pool=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_draws_match_regrouping_oracle(self, counts, full, m, k, seed, as_pool):
+        records = uneven_pool(counts + [(5, 5)] * full, seed)
+        pool = sm.TrainingPool(records) if as_pool else records
+        got = draws(lambda rng: sm.draw_batch(pool, m, k, rng).speakers, seed)
+        want = draws(lambda rng: draw_batch_by_records(records, m, k, rng), seed)
+        assert got == want
+
+    def test_arrays_hold_the_records(self):
+        records = uneven_pool([(3, 1), (0, 2), (2, 4)], seed=4)
+        pool = sm.TrainingPool(records)
+        assert len(pool) == len(records) and list(pool) == records
+        assert pool.asv.tobytes() == np.array([r.asv_embedding.values for r in records]).tobytes()
+        assert pool.cm.tobytes() == np.array([r.cm_embedding.values for r in records]).tobytes()
+        assert pool.bonafide.tolist() == [r.bonafide for r in records]
+        assert pool.n_bona.tolist() == [3, 0, 2] and pool.n_spoof.tolist() == [1, 2, 4]
+        for s, (bona, spoof) in enumerate(zip(pool.bona_rows, pool.spoof_rows)):
+            assert all(records[i].speaker_id == f"spk{s}" for i in [*bona, *spoof])
+            assert bona.tolist() == sorted(bona) and spoof.tolist() == sorted(spoof)
+            assert all(records[i].bonafide for i in bona)
+            assert not any(records[i].bonafide for i in spoof)
+        assert sm.as_pool(pool) is pool
+
+    def test_step_path_reads_no_record(self, monkeypatch):
+        pool = sm.TrainingPool(uneven_pool([(4, 5), (6, 3), (3, 3), (5, 7)], seed=8, d_a=6))
+        config = tr.TrainConfig(hard_negative_top_n=20, hidden_dim=3, speakers_per_batch=3,
+                                utterances_per_speaker=6)
+
+        def no_record(self, i):
+            raise AssertionError("a record was read on the step path")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(sm.TrainingPool, "__getitem__", no_record)
+            patched.setattr(pool, "_records", None)  # any direct read raises too
+            batch = sm.draw_batch(pool, 3, 6, np.random.default_rng(2))
+            pairs = sm.expand_pairs(batch)
+            tape = ad.Tape()
+            params = BackendParams.init(6, 3, 3, np.random.default_rng(5), tape=tape)
+            loss, _ = tr.batch_loss(params, pairs, config)
+            tape.backward(loss)
+        utterances = [u for block in batch.speakers for u in block.utterances]
+        assert pairs.test_asv.tobytes() == np.array(
+            [u.asv_embedding.values for u in utterances]).tobytes()
+        assert pairs.test_cm.tobytes() == np.array(
+            [u.cm_embedding.values for u in utterances]).tobytes()
+        assert pairs.bonafide.tolist() == [u.bonafide for u in utterances]
 
 
 class TestExpandPairs:

@@ -2,7 +2,9 @@
 
 import dataclasses
 import functools
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,26 @@ class TestBatchLoss:
         # the attention path is active, so these all receive real gradients
         for name in ("Wq", "Wk", "Wv", "Wf", "vf", "w_cm"):
             assert np.any(getattr(params, name).grad), name
+
+    def test_dropped_tape_is_freed_without_the_cyclic_collector(self):
+        records, _ = tiny_dataset()
+        config = tiny_config()
+        tape = ad.Tape()
+        params = BackendParams.init(8, 5, 4, np.random.default_rng(2), tape=tape)
+        state = tr.OptimizerState({n: np.zeros_like(t.value) for n, t in params.parameters()},
+                                  config.learning_rate)
+        gc.disable()
+        try:
+            pairs = expand_pairs(draw_batch(records, 3, 4, np.random.default_rng(0)))
+            loss, _ = tr.batch_loss(params, pairs, config)
+            tape.backward(loss)
+            tr.sgd_step(params, state, config)
+            tape.clear()
+            dropped = weakref.ref(tape), weakref.ref(params), weakref.ref(params.Wq)
+            del tape, params, loss
+            assert [ref() for ref in dropped] == [None, None, None]
+        finally:
+            gc.enable()
 
     def test_average_pooling_leaves_attention_grads_zero(self):
         records, _ = tiny_dataset()
