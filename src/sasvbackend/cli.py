@@ -6,7 +6,7 @@ Exit codes are stable:
   2  I/O or file-format problem (path or line reported)
   3  training failure (pool exhausted, non-finite loss/gradient)
   4  unresolved utterance ids (first 10 listed)
-  5  protocol problem (no target trials)
+  5  protocol problem (no target or no impostor trials; path reported)
   6  gradient check exceeded tolerance
 
 Every option can also be supplied through ``--config FILE`` holding
@@ -24,7 +24,7 @@ from pathlib import Path
 from . import data as dio
 from .backend import BackendParams, POOLING_MODES, ZeroNormError
 from .gradcheck import gradient_check
-from .metrics import EmptyClassError, evaluate
+from .metrics import EmptyClassError, check_classes, evaluate
 from .sampling import PoolExhaustedError
 from .scoring import SCORERS, score_trials
 from .training import (
@@ -179,16 +179,17 @@ def cmd_train(args) -> int:
         raise dio.DataError(f"{args.manifest}: the manifest lists no utterances")
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
-    records = dio.build_records(manifest, asv_map, cm_map)
+    pool = dio.build_records(manifest, asv_map, cm_map)
     dev_bundle = None
     if args.dev_trials:
         trials = dio.load_trials(args.dev_trials)
         dio.resolve_trials(trials, asv_map, cm_map)
+        check_classes((t.label for t in trials), args.dev_trials)
         dev_bundle = (trials, asv_map, cm_map)
     config = _config_from_args(TrainConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = train(records, config, checkpoint_dir=out, log_path=out / "train.log",
+    result = train(pool, config, checkpoint_dir=out, log_path=out / "train.log",
                    dev_bundle=dev_bundle)
     last = result.epoch_logs[-1]
     print(f"trained {config.epochs} epochs, final mean selected loss "
@@ -204,6 +205,12 @@ def cmd_score(args) -> int:
     trials = dio.load_trials(args.trials)
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
+    for kind, path, embeddings, dim in (("ASV", args.asv_embeddings, asv_map, params.d_a),
+                                        ("CM", args.cm_embeddings, cm_map, params.d_c)):
+        first = next(iter(embeddings.values()), None)
+        if first is not None and first.size != dim:
+            raise dio.DimensionMismatchError(f"{args.checkpoint}: {kind} dimension {dim} "
+                                             f"differs from {first.size} in {path}")
     records = score_trials(params, trials, asv_map, cm_map,
                            pooling=params.pooling or args.pooling or "attention",
                            scorer=args.scorer)
@@ -214,6 +221,7 @@ def cmd_score(args) -> int:
 
 def cmd_evaluate(args) -> int:
     records = dio.load_scores(args.scores)
+    check_classes((r.label for r in records), args.scores)
     report = evaluate(records)
     print(f"{_percent(report.sv_eer)} {_percent(report.spf_eer)} {_percent(report.sasv_eer)}")
     if args.out:

@@ -1,4 +1,5 @@
-"""Embedding, manifest, trial and score file I/O plus the synthetic generator.
+"""Embedding, manifest, trial and score file I/O, the join of a manifest and
+its embedding maps into a training pool, and the synthetic generator.
 
 All formats are line-oriented text so runs can be inspected and diffed:
 
@@ -28,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .backend import Embedding, ZeroNormError
+from .backend import ZeroNormError
 from .metrics import TRIAL_LABELS, ScoreRecord
-from .sampling import TrainingPool, UtteranceRecord
+from .sampling import TrainingPool
 
 ENROLL_PER_SPEAKER = 5
 
@@ -234,20 +235,13 @@ def _check_resolved(what: str, *needs) -> None:
 
 def build_records(manifest: DatasetManifest, asv_map: dict[str, np.ndarray],
                   cm_map: dict[str, np.ndarray]) -> TrainingPool:
-    """Join a manifest with both embedding maps into a training pool of
-    utterance records, one per manifest entry and in its order."""
-    ids = [e.utterance_id for e in manifest.utterances]
+    """Join a manifest with both embedding maps into a training pool, one
+    row per manifest entry and in its order; the pool checks its rows."""
+    entries = manifest.utterances
+    ids = [e.utterance_id for e in entries]
     _check_resolved("manifest", (ids, asv_map), (ids, cm_map))
-    return TrainingPool([
-        UtteranceRecord(
-            speaker_id=e.speaker_id,
-            utterance_id=e.utterance_id,
-            bonafide=e.bonafide,
-            asv_embedding=Embedding(e.utterance_id, "asv", asv_map[e.utterance_id]),
-            cm_embedding=Embedding(e.utterance_id, "cm", cm_map[e.utterance_id]),
-        )
-        for e in manifest.utterances
-    ])
+    return TrainingPool([e.speaker_id for e in entries], ids, [e.bonafide for e in entries],
+                        np.array([asv_map[u] for u in ids]), np.array([cm_map[u] for u in ids]))
 
 
 def resolve_trials(trials: TrialList, asv_map, cm_map) -> None:

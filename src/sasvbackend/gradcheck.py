@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .backend import BackendParams, Embedding
-from .sampling import UtteranceRecord, draw_batch, expand_pairs
+from .backend import BackendParams
+from .sampling import TrainingPool, draw_batch, expand_pairs
 from .training import TrainConfig, batch_loss
 
 FD_STEP = 1e-5
@@ -46,20 +46,12 @@ class GradCheckResult:
 
 
 def _random_pool(rng, n_speakers, n_utts_half, d_a, d_c):
-    pool = []
-    for s in range(n_speakers):
-        speaker = f"g{s}"
-        for j in range(2 * n_utts_half):
-            bona = j < n_utts_half
-            utt = f"{speaker}-{j}"
-            vec = rng.standard_normal(d_a)
-            vec /= np.sqrt(np.sum(vec * vec))
-            pool.append(UtteranceRecord(
-                speaker_id=speaker, utterance_id=utt, bonafide=bona,
-                asv_embedding=Embedding(utt, "asv", vec),
-                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
-            ))
-    return pool
+    """Each utterance draws its ASV vector, normalised, then its CM vector."""
+    rows = [(f"g{s}", f"g{s}-{j}", j < n_utts_half)
+            for s in range(n_speakers) for j in range(2 * n_utts_half)]
+    draws = rng.standard_normal((len(rows), d_a + d_c))
+    asv = draws[:, :d_a] / np.sqrt(np.sum(draws[:, :d_a] * draws[:, :d_a], axis=1, keepdims=True))
+    return TrainingPool(*zip(*rows), asv, draws[:, d_a:])
 
 
 def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,

@@ -96,6 +96,16 @@ def eer(positives, negatives) -> tuple[float, float]:
     return float(value), float(threshold)
 
 
+def check_classes(labels, where: str | None = None) -> None:
+    """Raise EmptyClassError, its message prefixed with where when given,
+    unless the trial labels include a target and an impostor."""
+    present = set(labels)
+    problem = ("no target trials" if "target" not in present else
+               "no impostor trials of any class" if present <= {"target"} else None)
+    if problem:
+        raise EmptyClassError(problem if where is None else f"{where}: {problem}")
+
+
 def evaluate(records) -> EerReport:
     """Compute SV-, SPF- and SASV-EER from scored trials.
 
@@ -106,13 +116,10 @@ def evaluate(records) -> EerReport:
     by_label = {label: [] for label in TRIAL_LABELS}
     for r in records:
         by_label[r.label].append(r.score)
+    check_classes(label for label, scores in by_label.items() if scores)
     target = by_label["target"]
     nontarget = by_label["nontarget"]
     spoof = by_label["spoof"]
-    if not target:
-        raise EmptyClassError("no target trials")
-    if not nontarget and not spoof:
-        raise EmptyClassError("no impostor trials of any class")
 
     sv = eer(target, nontarget) if nontarget else (None, None)
     spf = eer(target, spoof) if spoof else (None, None)

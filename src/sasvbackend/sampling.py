@@ -8,12 +8,12 @@ M * K * M pairs per batch. A pair is positive only when the speakers match
 AND the test utterance is bona fide; spoofed tests of the correct speaker
 are negatives.
 
-The training pool is built once as arrays: the ASV and CM matrices, the
-bona-fide flags and each speaker's bona-fide and spoofed row indices. A
-mini-batch is an (M, K) array of pool rows, and its pairs are arrays too:
-a test row, an enrollment set and a label each, gathered from the pool
-without reading a record. A block holds K/2 >= 2 bona-fide entries, so
-every enrollment keeps one.
+The training pool is built once from arrays (ids, bona-fide flags, ASV and
+CM matrices) and checked in one pass; a record is built only when the pool
+is indexed. A mini-batch is an (M, K) array of pool rows, and its pairs are
+arrays too: a test row, an enrollment set and a label each, gathered from
+the pool. A block holds K/2 >= 2 bona-fide entries, so every enrollment
+keeps one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .backend import Embedding, EnrollmentStack, TrialBatch
+from .backend import Embedding, EnrollmentStack, TrialBatch, ZeroNormError
 
 
 class PoolExhaustedError(ValueError):
@@ -42,10 +42,6 @@ class UtteranceRecord:
     asv_embedding: Embedding
     cm_embedding: Embedding
 
-    def __post_init__(self):
-        if self.asv_embedding.kind != "asv" or self.cm_embedding.kind != "cm":
-            raise ValueError(f"utterance {self.utterance_id!r}: embedding kinds are swapped")
-
 
 @dataclass(frozen=True)
 class SpeakerBlock:
@@ -54,21 +50,30 @@ class SpeakerBlock:
 
 
 class TrainingPool(Sequence):
-    """The training utterances as arrays, built once from their records.
+    """The training utterances as arrays: row i of asv (N x d_a), cm (N x d_c)
+    and bonafide is utterance_ids[i] of speaker_ids[i]. The speakers are in
+    sorted id order: speaker s has the bona-fide rows bona_rows[s] and the
+    spoofed rows spoof_rows[s], each in pool order. An empty pool or a
+    non-finite row raises ValueError and a zero ASV row ZeroNormError,
+    naming the first such utterance."""
 
-    Row i of asv (N x d_a), cm (N x d_c) and bonafide holds record i. The
-    speakers are in sorted id order: speaker s has the bona-fide rows
-    bona_rows[s] and the spoofed rows spoof_rows[s], each in pool order.
-    """
-
-    def __init__(self, records: Sequence[UtteranceRecord]):
-        self._records = tuple(records)
-        self.asv = np.array([r.asv_embedding.values for r in self._records], dtype=np.float64)
-        self.cm = np.array([r.cm_embedding.values for r in self._records], dtype=np.float64)
-        self.bonafide = np.array([r.bonafide for r in self._records], dtype=bool)
+    def __init__(self, speaker_ids, utterance_ids, bonafide, asv, cm):
+        if not len(utterance_ids):
+            raise ValueError("empty training pool")
+        self.speaker_ids, self.utterance_ids = tuple(speaker_ids), tuple(utterance_ids)
+        self.bonafide = np.asarray(bonafide, dtype=bool)
+        self.asv = np.asarray(asv, dtype=np.float64)
+        self.cm = np.asarray(cm, dtype=np.float64)
+        zero = ~self.asv.any(axis=1)  # NaN counts as nonzero, so a zero row is finite
+        bad = zero | ~np.isfinite(self.asv).all(axis=1) | ~np.isfinite(self.cm).all(axis=1)
+        if bad.any():  # Embedding's checks, for the first bad row
+            i = int(bad.argmax())
+            if zero[i]:
+                raise ZeroNormError(f"ASV embedding {self.utterance_ids[i]!r} is a zero vector")
+            raise ValueError(f"embedding {self.utterance_ids[i]!r} has non-finite values")
         by_speaker: dict[str, tuple[list, list]] = {}
-        for row, rec in enumerate(self._records):
-            by_speaker.setdefault(rec.speaker_id, ([], []))[not rec.bonafide].append(row)
+        for row, (speaker, bona) in enumerate(zip(self.speaker_ids, self.bonafide.tolist())):
+            by_speaker.setdefault(speaker, ([], []))[not bona].append(row)
         speakers = sorted(by_speaker)
         self.bona_rows = [np.array(by_speaker[s][0], dtype=np.intp) for s in speakers]
         self.spoof_rows = [np.array(by_speaker[s][1], dtype=np.intp) for s in speakers]
@@ -78,15 +83,12 @@ class TrainingPool(Sequence):
     def __len__(self) -> int:
         return len(self.bonafide)
 
-    # the record view: no step reads it; the benchmark reads records[0] and
-    # MiniBatch.speakers builds its blocks from it
-    def __getitem__(self, i):
-        return self._records[i]
-
-
-def as_pool(records: Sequence[UtteranceRecord]) -> TrainingPool:
-    """records as a TrainingPool: a pool itself, or one built from a list."""
-    return records if isinstance(records, TrainingPool) else TrainingPool(records)
+    # the record view, built on demand: no step reads it; the benchmark
+    # reads records[0] and MiniBatch.speakers builds its blocks from it
+    def __getitem__(self, i) -> UtteranceRecord:
+        utt = self.utterance_ids[i]  # raises IndexError out of range
+        return UtteranceRecord(self.speaker_ids[i], utt, bool(self.bonafide[i]),
+                               Embedding(utt, "asv", self.asv[i]), Embedding(utt, "cm", self.cm[i]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,12 +147,11 @@ class PairBatch(TrialBatch, Sequence):
                             bool(self.positive[i]))
 
 
-def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
+def draw_batch(pool: TrainingPool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
     """Sample a mini-batch of m speakers with k/2 bona-fide + k/2 spoofed
     utterances each, without replacement inside the batch.
 
-    pool is a TrainingPool or a sequence of records, which is built into
-    one. The eligible speakers are found from the pool's per-speaker counts,
+    The eligible speakers are found from the pool's per-speaker counts,
     and the batch holds the drawn pool rows as an (m, k) index array.
     Excluding one slot from a block must leave a bona-fide entry, which
     holds for every block when k >= 4 and for none when k = 2, so k = 2
@@ -163,7 +164,6 @@ def draw_batch(pool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
     if k == 2:
         raise PoolExhaustedError("k=2 leaves one bona-fide entry per speaker, and excluding "
                                  "it empties the enrollment; k must be at least 4")
-    pool = as_pool(pool)
     half = k // 2
     eligible = np.flatnonzero((pool.n_bona >= half) & (pool.n_spoof >= half))
     if len(eligible) < m:

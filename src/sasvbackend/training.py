@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backend import BackendParams, POOLING_MODES, forward_batch
 from .metrics import evaluate
-from .sampling import PairBatch, as_pool, draw_batch, expand_pairs
+from .sampling import PairBatch, TrainingPool, draw_batch, expand_pairs
 from .scoring import score_trials
 
 BCE_CLAMP = 1e-12
@@ -166,18 +166,15 @@ def batch_loss(params: BackendParams, pairs: PairBatch,
     return ad.affine(ad.row_dot(losses, Tensor(weights)), 1.0 / len(selected)), selected
 
 
-def train(records, config: TrainConfig, checkpoint_dir=None, log_path=None,
+def train(pool: TrainingPool, config: TrainConfig, checkpoint_dir=None, log_path=None,
           dev_bundle=None) -> TrainResult:
-    """Run the full optimization loop over a pool of utterance records (a
-    TrainingPool, or a sequence of records built into one before training).
+    """Run the full optimization loop over a training pool; the
+    embedding dimensions are those of its matrices.
 
     dev_bundle, when given, is (trials, asv_map, cm_map); the dev SV-, SPF-
     and SASV-EER of the fused scorer are then logged per epoch. Writes one
     checkpoint per epoch plus final.ckpt when checkpoint_dir is set.
     """
-    if not records:
-        raise ValueError("empty training pool")
-    pool = as_pool(records)
     d_a, d_c = pool.asv.shape[1], pool.cm.shape[1]
     m = config.speakers_per_batch
     k = config.utterances_per_speaker

@@ -129,19 +129,11 @@ def test_criterion_1_gradient_correctness():
 
 
 def _counting_pool(n_speakers, half_k, d_a=6, d_c=4, seed=0):
-    from sasvbackend.sampling import UtteranceRecord
-    rng = np.random.default_rng(seed)
-    pool = []
-    for s in range(n_speakers):
-        for j in range(2 * (half_k + 1)):
-            bona = j % 2 == 0
-            utt = f"s{s}-{j}"
-            pool.append(UtteranceRecord(
-                speaker_id=f"s{s}", utterance_id=utt, bonafide=bona,
-                asv_embedding=bk.Embedding(utt, "asv", rng.standard_normal(d_a)),
-                cm_embedding=bk.Embedding(utt, "cm", rng.standard_normal(d_c)),
-            ))
-    return pool
+    from sasvbackend.sampling import TrainingPool
+    rows = [(f"s{s}", f"s{s}-{j}", j % 2 == 0)
+            for s in range(n_speakers) for j in range(2 * (half_k + 1))]
+    draws = np.random.default_rng(seed).standard_normal((len(rows), d_a + d_c))  # ASV, CM
+    return TrainingPool(*zip(*rows), draws[:, :d_a], draws[:, d_a:])
 
 
 def test_criterion_2_sampler_oracle():

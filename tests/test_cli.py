@@ -109,6 +109,24 @@ class TestTrain:
         assert f"error: {bad}: {message} is a zero vector" in capsys.readouterr().err
         assert not out.exists()  # no epoch ran
 
+    @pytest.mark.parametrize("kept, message", [
+        (("nontarget", "spoof"), "no target trials"),
+        (("target",), "no impostor trials of any class"),
+    ])
+    def test_dev_trials_without_a_class_exit_5_naming_file_before_training(
+            self, corpus, tmp_path, capsys, kept, message):
+        trials = [t for t in dio.load_trials(corpus / "trials_dev.tsv") if t.label in kept]
+        bad = tmp_path / "trials_dev.tsv"
+        dio.save_trials(trials, bad)
+        out = tmp_path / "run"
+        code = cli.main([
+            "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+            "--out", str(out), "--seed", "1", *TRAIN_SMALL, "--dev-trials", str(bad),
+        ])
+        assert code == 5
+        assert f"error: {bad}: {message}" in capsys.readouterr().err
+        assert not out.exists()  # no epoch ran, no train.log left behind
+
     def test_pool_exhausted_exits_3(self, corpus, tmp_path, capsys):
         code = cli.main([
             "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
@@ -221,6 +239,26 @@ class TestScore:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: {bad}: the {role} ASV embedding of {utt!r} is a zero vector" in err
+
+    @pytest.mark.parametrize("kind, name, dim", [("asv", "ASV", 8), ("cm", "CM", 5)])
+    def test_checkpoint_dimension_mismatch_exits_2_naming_both_files(
+            self, corpus, trained, tmp_path, capsys, kind, name, dim):
+        embeddings = dio.load_embeddings(corpus / f"{kind}_embeddings.txt")
+        bad = tmp_path / f"{kind}_embeddings.txt"
+        dio.save_embeddings({u: v[:dim - 2] for u, v in embeddings.items()}, bad)
+        files = {"asv": corpus / "asv_embeddings.txt", "cm": corpus / "cm_embeddings.txt",
+                 kind: bad}
+        checkpoint = trained / "final.ckpt"
+        code = cli.main([
+            "score", "--checkpoint", str(checkpoint),
+            "--trials", str(corpus / "trials_eval.tsv"), "--asv-embeddings", str(files["asv"]),
+            "--cm-embeddings", str(files["cm"]), "--out", str(tmp_path / "s.tsv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {checkpoint}: {name} dimension {dim} differs from {dim - 2} in {bad}" \
+            in err
+        assert not (tmp_path / "s.tsv").exists()
 
     def test_unresolved_ids_exit_4(self, corpus, trained, tmp_path, capsys):
         bad = tmp_path / "bad_trials.tsv"
@@ -403,10 +441,17 @@ class TestEvaluate:
         assert cli.main(["evaluate", "--scores", str(scores)]) == 0
         assert capsys.readouterr().out.strip() == "0.00 absent 0.00"
 
-    def test_no_targets_exit_5(self, tmp_path):
+    def test_no_targets_exit_5(self, tmp_path, capsys):
         scores = tmp_path / "s.tsv"
         self.write_scores(scores, [(0.1, "nontarget")])
         assert cli.main(["evaluate", "--scores", str(scores)]) == 5
+        assert capsys.readouterr().err == f"error: {scores}: no target trials\n"
+
+    def test_no_impostors_exit_5_naming_the_file(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        self.write_scores(scores, [(0.9, "target")])
+        assert cli.main(["evaluate", "--scores", str(scores)]) == 5
+        assert capsys.readouterr().err == f"error: {scores}: no impostor trials of any class\n"
 
     def test_key_value_report(self, tmp_path, capsys):
         scores = tmp_path / "s.tsv"

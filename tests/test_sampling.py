@@ -10,25 +10,16 @@ from oracles import draw_batch_by_records
 from sasvbackend import autodiff as ad
 from sasvbackend import sampling as sm
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams, Embedding
+from sasvbackend.backend import BackendParams, ZeroNormError
 
 
 def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, seed=0):
-    rng = np.random.default_rng(seed)
-    pool = []
-    for s in range(n_speakers):
-        speaker = f"spk{s:02d}"
-        for j in range(bona_per_speaker + spoof_per_speaker):
-            bona = j < bona_per_speaker
-            utt = f"{speaker}-{'b' if bona else 's'}{j:02d}"
-            pool.append(sm.UtteranceRecord(
-                speaker_id=speaker,
-                utterance_id=utt,
-                bonafide=bona,
-                asv_embedding=Embedding(utt, "asv", rng.standard_normal(d_a)),
-                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
-            ))
-    return pool
+    rows = [(f"spk{s:02d}", j, j < bona_per_speaker)
+            for s in range(n_speakers) for j in range(bona_per_speaker + spoof_per_speaker)]
+    utts = [f"{speaker}-{'b' if bona else 's'}{j:02d}" for speaker, j, bona in rows]
+    draws = np.random.default_rng(seed).standard_normal((len(rows), d_a + d_c))  # ASV, CM
+    return sm.TrainingPool([r[0] for r in rows], utts, [r[2] for r in rows],
+                           draws[:, :d_a], draws[:, d_a:])
 
 
 def pair_records(batch, pairs, i):
@@ -136,19 +127,15 @@ class TestDrawBatch:
 
 
 def uneven_pool(counts, seed, d_a=4, d_c=3):
-    """Records of speakers with (bona fide, spoofed) counts each, shuffled
+    """A pool of speakers with (bona fide, spoofed) counts each, shuffled
     so that a speaker's utterances are interleaved with the others'."""
     rng = np.random.default_rng(seed)
-    pool = []
-    for s, (n_bona, n_spoof) in enumerate(counts):
-        for j in range(n_bona + n_spoof):
-            utt = f"spk{s}-{j}"  # spk10 sorts before spk2
-            pool.append(sm.UtteranceRecord(
-                speaker_id=f"spk{s}", utterance_id=utt, bonafide=j < n_bona,
-                asv_embedding=Embedding(utt, "asv", rng.standard_normal(d_a)),
-                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
-            ))
-    return [pool[i] for i in rng.permutation(len(pool))]
+    rows = [(f"spk{s}", f"spk{s}-{j}", j < n_bona)  # spk10 sorts before spk2
+            for s, (n_bona, n_spoof) in enumerate(counts) for j in range(n_bona + n_spoof)]
+    draws = rng.standard_normal((len(rows), d_a + d_c))  # ASV, then CM, per utterance
+    order = rng.permutation(len(rows))
+    speakers, utts, bonafide = zip(*[rows[i] for i in order]) if rows else ((), (), ())
+    return sm.TrainingPool(speakers, utts, bonafide, draws[order, :d_a], draws[order, d_a:])
 
 
 def draws(draw, seed, n_draws=3):
@@ -168,20 +155,25 @@ class TestTrainingPool:
     # five spoofed utterances, so that most examples draw batches
     @given(counts=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=10),
            full=st.integers(0, 5), m=st.sampled_from([2, 3, 4, 2, 3, 6, 1]),
-           k=st.sampled_from([4, 6, 8, 4, 6, 2, 3, 0, -2]), seed=st.integers(0, 10_000),
-           as_pool=st.booleans())
+           k=st.sampled_from([4, 6, 8, 4, 6, 2, 3, 0, -2]), seed=st.integers(0, 10_000))
     @settings(max_examples=150, deadline=None)
-    def test_draws_match_regrouping_oracle(self, counts, full, m, k, seed, as_pool):
-        records = uneven_pool(counts + [(5, 5)] * full, seed)
-        pool = sm.TrainingPool(records) if as_pool else records
+    def test_draws_match_regrouping_oracle(self, counts, full, m, k, seed):
+        counts = counts + [(5, 5)] * full
+        if not sum(map(sum, counts)):
+            with pytest.raises(ValueError, match="^empty training pool$"):
+                uneven_pool(counts, seed)
+            return
+        pool = uneven_pool(counts, seed)
+        records = list(pool)
         got = draws(lambda rng: sm.draw_batch(pool, m, k, rng).speakers, seed)
         want = draws(lambda rng: draw_batch_by_records(records, m, k, rng), seed)
         assert got == want
 
     def test_arrays_hold_the_records(self):
-        records = uneven_pool([(3, 1), (0, 2), (2, 4)], seed=4)
-        pool = sm.TrainingPool(records)
-        assert len(pool) == len(records) and list(pool) == records
+        pool = uneven_pool([(3, 1), (0, 2), (2, 4)], seed=4)
+        records = list(pool)
+        assert len(pool) == len(records)
+        assert [r.utterance_id for r in records] == list(pool.utterance_ids)
         assert pool.asv.tobytes() == np.array([r.asv_embedding.values for r in records]).tobytes()
         assert pool.cm.tobytes() == np.array([r.cm_embedding.values for r in records]).tobytes()
         assert pool.bonafide.tolist() == [r.bonafide for r in records]
@@ -191,10 +183,73 @@ class TestTrainingPool:
             assert bona.tolist() == sorted(bona) and spoof.tolist() == sorted(spoof)
             assert all(records[i].bonafide for i in bona)
             assert not any(records[i].bonafide for i in spoof)
-        assert sm.as_pool(pool) is pool
+
+    @staticmethod
+    def rebuilt(pool, asv=None, cm=None):
+        """pool's ids and flags with other matrices."""
+        return sm.TrainingPool(pool.speaker_ids, pool.utterance_ids, pool.bonafide,
+                               pool.asv if asv is None else asv, pool.cm if cm is None else cm)
+
+    def test_empty_pool_raises(self):
+        with pytest.raises(ValueError, match="^empty training pool$"):
+            sm.TrainingPool([], [], [], np.empty((0, 4)), np.empty((0, 3)))
+
+    @pytest.mark.parametrize("kind", ["asv", "cm"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_naming_the_utterance(self, kind, value):
+        pool = make_pool(3, 2, 2)
+        matrix = getattr(pool, kind).copy()
+        matrix[5, 1] = value
+        with pytest.raises(ValueError, match="^embedding 'spk01-b01' has non-finite values$") \
+                as info:
+            self.rebuilt(pool, **{kind: matrix})
+        assert not isinstance(info.value, ZeroNormError)
+
+    def test_zero_asv_row_raises_zero_norm_naming_the_utterance(self):
+        pool = make_pool(3, 2, 2)
+        asv = pool.asv.copy()
+        asv[6] = 0.0
+        with pytest.raises(ZeroNormError, match="^ASV embedding 'spk01-s02' is a zero vector$"):
+            self.rebuilt(pool, asv=asv)
+        cm = pool.cm.copy()
+        cm[6] = 0.0  # a zero CM vector is valid
+        assert self.rebuilt(pool, cm=cm).cm[6].tolist() == [0.0, 0.0, 0.0]
+
+    def test_first_bad_row_is_named(self):
+        # the checks run row by row: ASV non-finite, ASV zero, CM non-finite
+        pool = make_pool(3, 2, 2)
+        asv, cm = pool.asv.copy(), pool.cm.copy()
+        asv[9], cm[4, 0], asv[4, 2] = 0.0, np.nan, 0.0
+        with pytest.raises(ValueError, match="'spk01-b00' has non-finite") as info:
+            self.rebuilt(pool, asv, cm)
+        assert not isinstance(info.value, ZeroNormError)
+        asv[4], cm[4, 0] = 0.0, np.nan  # a zero ASV row comes before its CM row
+        with pytest.raises(ZeroNormError, match="'spk01-b00' is a zero vector"):
+            self.rebuilt(pool, asv, cm)
+
+    def test_record_view_is_row_i_bitwise(self):
+        pool = uneven_pool([(3, 1), (2, 4)], seed=6, d_a=5, d_c=2)
+        for i in [*range(len(pool)), -1, -len(pool)]:
+            rec = pool[i]
+            assert isinstance(rec, sm.UtteranceRecord)
+            assert (rec.speaker_id, rec.utterance_id, rec.bonafide) == (
+                pool.speaker_ids[i], pool.utterance_ids[i], bool(pool.bonafide[i]))
+            assert rec.asv_embedding.values.tobytes() == pool.asv[i].tobytes()
+            assert rec.cm_embedding.values.tobytes() == pool.cm[i].tobytes()
+            assert (rec.asv_embedding.kind, rec.cm_embedding.kind) == ("asv", "cm")
+            assert rec.asv_embedding.utterance_id == rec.cm_embedding.utterance_id == \
+                rec.utterance_id
+        assert pool[-1].utterance_id == pool.utterance_ids[len(pool) - 1]
+
+    @pytest.mark.parametrize("offset", [0, 1, 5])
+    def test_out_of_range_index_raises(self, offset):
+        pool = make_pool(2, 2, 2)
+        for i in (len(pool) + offset, -len(pool) - 1 - offset):
+            with pytest.raises(IndexError):
+                pool[i]
 
     def test_step_path_reads_no_record(self, monkeypatch):
-        pool = sm.TrainingPool(uneven_pool([(4, 5), (6, 3), (3, 3), (5, 7)], seed=8, d_a=6))
+        pool = uneven_pool([(4, 5), (6, 3), (3, 3), (5, 7)], seed=8, d_a=6)
         config = tr.TrainConfig(hard_negative_top_n=20, hidden_dim=3, speakers_per_batch=3,
                                 utterances_per_speaker=6)
 
@@ -203,7 +258,6 @@ class TestTrainingPool:
 
         with monkeypatch.context() as patched:
             patched.setattr(sm.TrainingPool, "__getitem__", no_record)
-            patched.setattr(pool, "_records", None)  # any direct read raises too
             batch = sm.draw_batch(pool, 3, 6, np.random.default_rng(2))
             pairs = sm.expand_pairs(batch)
             tape = ad.Tape()

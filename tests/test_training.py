@@ -16,8 +16,8 @@ from oracles import per_pair_batch_loss
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams, Embedding
-from sasvbackend.sampling import UtteranceRecord, draw_batch, expand_pairs
+from sasvbackend.backend import BackendParams
+from sasvbackend.sampling import TrainingPool, draw_batch, expand_pairs
 
 
 def tiny_dataset(seed=0, **overrides):
@@ -210,16 +210,10 @@ class TestBatchLoss:
 
 
 def random_pool(rng, n_speakers, half_k, d_a=6, d_c=4):
-    pool = []
-    for s in range(n_speakers):
-        for j in range(2 * half_k):
-            utt = f"s{s}-{j}"
-            pool.append(UtteranceRecord(
-                speaker_id=f"s{s}", utterance_id=utt, bonafide=j < half_k,
-                asv_embedding=Embedding(utt, "asv", rng.standard_normal(d_a)),
-                cm_embedding=Embedding(utt, "cm", rng.standard_normal(d_c)),
-            ))
-    return pool
+    rows = [(f"s{s}", f"s{s}-{j}", j < half_k)
+            for s in range(n_speakers) for j in range(2 * half_k)]
+    draws = rng.standard_normal((len(rows), d_a + d_c))  # ASV, then CM, per utterance
+    return TrainingPool(*zip(*rows), draws[:, :d_a], draws[:, d_a:])
 
 
 def loss_and_grads(loss_fn, pairs, config, seed):
