@@ -84,35 +84,6 @@ class Embedding:
 
 
 @dataclass(frozen=True)
-class EnrollmentSet:
-    """Ordered enrollment embeddings plus a bona-fide mask for one speaker."""
-
-    speaker_id: str
-    embeddings: tuple[Embedding, ...]
-    bonafide_mask: tuple[bool, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "embeddings", tuple(self.embeddings))
-        object.__setattr__(self, "bonafide_mask", tuple(bool(b) for b in self.bonafide_mask))
-        if len(self.embeddings) != len(self.bonafide_mask):
-            raise ValueError(
-                f"enrollment for {self.speaker_id!r}: {len(self.embeddings)} embeddings "
-                f"but {len(self.bonafide_mask)} mask entries"
-            )
-
-    def __len__(self) -> int:
-        return len(self.embeddings)
-
-    def matrix(self) -> np.ndarray:
-        """K x d_a stack of embedding values in enrollment order."""
-        return np.stack([e.values for e in self.embeddings])
-
-    def spoof_mask(self) -> np.ndarray:
-        """True where the entry is spoofed, i.e. must be masked out."""
-        return np.array([not b for b in self.bonafide_mask], dtype=bool)
-
-
-@dataclass(frozen=True)
 class EnrollmentStack:
     """G enrollment groups of K rows of one embedding matrix, each under R
     masks: G * R enrollment sets.
@@ -145,13 +116,29 @@ class EnrollmentStack:
         return E
 
 
-def _stack(enroll: "EnrollmentSet | EnrollmentStack") -> EnrollmentStack:
-    if isinstance(enroll, EnrollmentStack):
-        return enroll
-    if len(enroll) == 0:
-        raise EmptyEnrollmentError(f"enrollment for {enroll.speaker_id!r} is empty")
-    members = np.arange(len(enroll))[None]
-    return EnrollmentStack(enroll.matrix(), members, enroll.spoof_mask()[None, None])
+class EnrollmentSet(EnrollmentStack):
+    """One speaker's enrollment embeddings under a bona-fide mask: a stack
+    of one group and one set (G = R = 1). An empty set raises
+    EmptyEnrollmentError, a mask of another length ShapeError and an
+    all-spoofed set DegenerateEnrollmentError."""
+
+    def __init__(self, speaker_id: str, embeddings, bonafide_mask):
+        values = [e.values for e in embeddings]
+        if not values:
+            raise EmptyEnrollmentError(f"enrollment for {speaker_id!r} is empty")
+        spoofed = ~np.asarray(bonafide_mask, dtype=bool)
+        super().__init__(np.stack(values), np.arange(len(values))[None], spoofed[None, None])
+
+    def __len__(self) -> int:
+        return self.members.shape[1]
+
+    def matrix(self) -> np.ndarray:
+        """K x d_a embedding values in enrollment order."""
+        return self.embeddings
+
+    def spoof_mask(self) -> np.ndarray:
+        """True where the entry is spoofed, i.e. must be masked out."""
+        return self.masked[0, 0]
 
 
 def _shapes(d_a: int, d_c: int, h_f: int) -> dict[str, tuple[int, int]]:
@@ -241,7 +228,7 @@ class BackendParams:
                 f.write(np.ascontiguousarray(t.value, dtype="<f8").tobytes())
 
     @classmethod
-    def load(cls, path, tape: Tape | None = None) -> "BackendParams":
+    def load(cls, path) -> "BackendParams":
         """Read a checkpoint written by save(), of version 1 or 2; the
         result's pooling is the recorded mode, None for version 1.
 
@@ -288,26 +275,24 @@ class BackendParams:
                 value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
                 if not np.all(np.isfinite(value)):
                     raise ValueError(f"{path}: parameter {name} has non-finite values")
-                tensors[name] = tape.parameter(value) if tape is not None else Tensor(value)
+                tensors[name] = Tensor(value)
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after parameters")
         return cls(d_a, d_c, h_f, tensors, pooling)
 
 
-def pool_enrollments(params: BackendParams,
-                     enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
+def pool_enrollments(params: BackendParams, stack: EnrollmentStack) -> Tensor:
     """Pool each enrollment set into its speaker representative vector.
 
-    Returns a (G * R) x d_a tensor, row g * R + r for set r of group g (1 x
-    d_a for one EnrollmentSet), tracked whenever the parameters are. Q, K,
-    V and the attention logits are computed once per group; each set then
-    takes its own masked softmaxes. Since O Wf^T = A (V Wf^T) + E Wf^T and
+    Returns a (G * R) x d_a tensor, row g * R + r for set r of group g,
+    tracked whenever the parameters are. Q, K, V and the attention logits
+    are computed once per group; each set then takes its own masked
+    softmaxes. Since O Wf^T = A (V Wf^T) + E Wf^T and
     alpha O = (alpha A) V + alpha E, no set's K x d_a output O is formed.
     Masked entries get exactly zero weight in both softmaxes, and entries
     masked in every set of a group are zeroed, so a set's result is
     independent of the content of its masked entries.
     """
-    stack = _stack(enroll)
     g, r, k = stack.masked.shape
     E = stack.rows()
     X = Tensor(E)
@@ -330,10 +315,9 @@ def pool_enrollments(params: BackendParams,
     return ad.reshape(h, (g * r, params.d_a))
 
 
-def average_pool(enroll: "EnrollmentSet | EnrollmentStack") -> Tensor:
+def average_pool(stack: EnrollmentStack) -> Tensor:
     """Arithmetic mean of each set's bona-fide enrollment embeddings only,
     in pool_enrollments' row order. Untracked: it has no parameters."""
-    stack = _stack(enroll)
     keep = (~stack.masked).astype(np.float64)
     h = (keep @ stack.rows()) / keep.sum(axis=-1, keepdims=True)
     return Tensor(h.reshape(-1, h.shape[-1]))

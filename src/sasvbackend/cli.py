@@ -9,9 +9,10 @@ Exit codes are stable:
   5  protocol problem (no target or no impostor trials; path reported)
   6  gradient check exceeded tolerance
 
-Every option can also be supplied through ``--config FILE`` holding
-``key=value`` lines (keys are the long option names); explicit flags win
-over the config file, and unknown keys and bad values are rejected.
+Every option, required ones included, can also be supplied through
+``--config FILE`` holding ``key=value`` lines (keys are the long option
+names); explicit flags win over the config file, and unknown keys and bad
+values are rejected.
 """
 
 from __future__ import annotations
@@ -127,11 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse argv; a --config file fills the subcommand's defaults, so
-    explicit flags win over it."""
-    args = parser.parse_args(argv)
-    if args.config is None:
-        return args
+    """Parse argv; a --config file, read first, fills the subcommand's
+    defaults and may supply its required options, so explicit flags win
+    over it."""
+    pre = argparse.ArgumentParser(add_help=False)
+    pre.add_argument("command", nargs="?")
+    pre.add_argument("--config", nargs="?")  # a bare --config is the full parser's error
+    args = pre.parse_known_args(argv)[0]
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    if args.config is None or args.command not in sub.choices:
+        return parser.parse_args(argv)
     try:
         text = Path(args.config).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -146,7 +152,6 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
         key, value = line.split("=", 1)
         pairs[key.strip().replace("-", "_")] = (f"{args.config}:{lineno}", value.strip())
 
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     subparser = sub.choices[args.command]
     known = {a.dest: a for a in subparser._actions}
     unknown = sorted(set(pairs) - set(known))
@@ -161,6 +166,7 @@ def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Na
                 raise ValueError(f"{raw!r} is not one of {', '.join(action.choices)}")
         except ValueError as exc:
             raise dio.MalformedLineError(f"{where}: {key}: {exc}") from None
+        action.required = False
     subparser.set_defaults(**defaults)
     return parser.parse_args(argv)
 

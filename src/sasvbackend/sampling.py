@@ -18,7 +18,6 @@ keeps one.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -49,7 +48,7 @@ class SpeakerBlock:
     utterances: tuple[UtteranceRecord, ...]
 
 
-class TrainingPool(Sequence):
+class TrainingPool:
     """The training utterances as arrays: row i of asv (N x d_a), cm (N x d_c)
     and bonafide is utterance_ids[i] of speaker_ids[i]. The speakers are in
     sorted id order: speaker s has the bona-fide rows bona_rows[s] and the
@@ -124,7 +123,7 @@ class TrainingPair(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class PairBatch(TrialBatch, Sequence):
+class PairBatch(TrialBatch):
     """The M * K * M training pairs of a mini-batch, as arrays.
 
     Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
@@ -142,7 +141,6 @@ class PairBatch(TrialBatch, Sequence):
         return len(self.positive)
 
     def __getitem__(self, i: int) -> TrainingPair:
-        i = range(len(self))[i]
         return TrainingPair(int(self.test_row[i]), int(self.enroll_set[i]),
                             bool(self.positive[i]))
 

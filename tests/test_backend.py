@@ -38,6 +38,32 @@ class TestEnrollmentSet:
         with pytest.raises(ValueError, match="mask"):
             enrollment([[1, 0], [0, 1]], [True])
 
+    @pytest.mark.parametrize("bonafide", [[True, False, True], [False, True, True, False]])
+    def test_is_the_hand_built_one_group_stack(self, bonafide):
+        rng = np.random.default_rng(len(bonafide))
+        vectors = rng.standard_normal((len(bonafide), 5))
+        enroll = enrollment(vectors, bonafide)
+        stack = bk.EnrollmentStack(vectors, np.arange(len(bonafide))[None],
+                                   ~np.array(bonafide)[None, None])
+        assert isinstance(enroll, bk.EnrollmentStack) and len(enroll) == len(bonafide)
+        for name in ("embeddings", "members", "masked"):
+            got, want = getattr(enroll, name), getattr(stack, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        assert enroll.matrix() is enroll.embeddings
+        assert np.array_equal(enroll.spoof_mask(), ~np.array(bonafide))
+        params = make_params(d_a=5, seed=2)
+        for pool in (lambda s: bk.pool_enrollments(params, s), bk.average_pool):
+            assert pool(enroll).value.tobytes() == pool(stack).value.tobytes()
+
+    @pytest.mark.parametrize("vectors, bonafide, error, message", [
+        ([], [], bk.EmptyEnrollmentError, "enrollment for 'spk' is empty"),
+        ([[1, 0], [0, 1]], [True], ad.ShapeError, r"enrollment mask \(1, 1, 1\) does not fit"),
+        ([[1, 0], [0, 1]], [False, False], bk.DegenerateEnrollmentError, "no bona-fide entry"),
+    ], ids=["empty", "mask_length", "all_spoofed"])
+    def test_bad_set_fails_at_construction(self, vectors, bonafide, error, message):
+        with pytest.raises(error, match=message):
+            enrollment(vectors, bonafide)
+
     def test_zero_asv_embedding_rejected(self):
         with pytest.raises(bk.ZeroNormError):
             bk.Embedding("u", "asv", np.zeros(4))

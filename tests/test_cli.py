@@ -561,6 +561,45 @@ class TestConfigFile:
         manifest = dio.load_manifest(out / "manifest.tsv")
         assert len({e.speaker_id for e in manifest.utterances}) == 3
 
+    def test_train_paths_only_from_the_file(self, corpus, trained, tmp_path):
+        out = tmp_path / "run"
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(f"manifest={corpus / 'manifest.tsv'}\n"
+                       f"asv-embeddings={corpus / 'asv_embeddings.txt'}\n"
+                       f"cm-embeddings={corpus / 'cm_embeddings.txt'}\nout={out}\n")
+        assert cli.main(["train", "--config", str(cfg), "--seed", "1", *TRAIN_SMALL]) == 0
+        # the same run as the fixture's, which passed every path as a flag
+        assert (out / "final.ckpt").read_bytes() == (trained / "final.ckpt").read_bytes()
+
+    def test_score_paths_only_from_the_file_flags_win(self, corpus, trained, tmp_path):
+        paths = {"checkpoint": trained / "final.ckpt", "trials": corpus / "trials_eval.tsv",
+                 "asv-embeddings": corpus / "asv_embeddings.txt",
+                 "cm-embeddings": corpus / "cm_embeddings.txt"}
+        by_flags = tmp_path / "flags.tsv"
+        assert cli.main(["score", *[str(a) for key, path in paths.items()
+                                    for a in ("--" + key, path)], "--out", str(by_flags)]) == 0
+        cfg = tmp_path / "score.cfg"
+        cfg.write_text("".join(f"{key}={path}\n" for key, path in paths.items())
+                       + f"out={tmp_path / 'file.tsv'}\n")
+        assert cli.main(["score", f"--config={cfg}"]) == 0
+        assert (tmp_path / "file.tsv").read_bytes() == by_flags.read_bytes()
+        # an explicit flag still beats the file for a required option
+        assert cli.main(["score", "--conf", str(cfg), "--out", str(tmp_path / "flag.tsv")]) == 0
+        assert (tmp_path / "flag.tsv").read_bytes() == by_flags.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_option_in_neither_flags_nor_file_exits_2_naming_it(self, tmp_path, capsys,
+                                                                command):
+        given = {"train": "manifest=m\nasv-embeddings=a\ncm-embeddings=c\n",
+                 "score": "checkpoint=k\ntrials=t\nasv-embeddings=a\ncm-embeddings=c\n"}
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(given[command])
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(
+            "error: the following arguments are required: --out")
+
     @pytest.mark.parametrize("text, where", [
         ("train-speakers=3\nseed=abc\n", ":2: seed: invalid literal"),
         ("asv-dim=8\nspoof-fidelity=high\n", ":2: spoof_fidelity: could not convert"),

@@ -1,5 +1,7 @@
 """Sampler tests: batch layout, pair expansion counts, label rules."""
 
+from collections.abc import Sequence
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -286,6 +288,19 @@ class TestExpandPairs:
         pairs = sm.expand_pairs(batch)
         assert len(pairs) == 2560
         assert sum(p.positive for p in pairs) == 80
+
+    def test_pair_views_index_like_a_list(self):
+        pool = make_pool(3, 2, 2)
+        pairs = sm.expand_pairs(sm.draw_batch(pool, 3, 4, np.random.default_rng(2)))
+        assert not isinstance(pairs, Sequence) and not isinstance(pool, Sequence)
+        want = list(zip(pairs.test_row.tolist(), pairs.enroll_set.tolist(),
+                        pairs.positive.tolist()))
+        assert list(pairs) == want  # iteration runs through __getitem__
+        assert pairs[-1] == want[-1] and pairs[-len(pairs)] == want[0]
+        for i in (len(pairs), -len(pairs) - 1):
+            with pytest.raises(IndexError):
+                pairs[i]
+        assert [r.utterance_id for r in pool] == list(pool.utterance_ids)
 
     def test_spoofed_test_of_own_speaker_is_negative(self):
         pool = make_pool(3, 2, 2)
