@@ -16,9 +16,10 @@ The building blocks work on stacks: forward_batch runs the whole pass over
 a TrialBatch, pooling every enrollment group once and scoring every test
 utterance with the CM head once. An enrollment group is K embeddings under
 R masks, one per set: a scoring set is a group of its own (R = 1), and in
-training a speaker's K utterances form one group whose R = K sets each
-leave out one slot. Projections and attention logits are computed once per
-group; only the masked softmaxes and the pooling weights are per set.
+training a speaker's K/2 bona-fide utterances form one group whose
+R = K/2 + 1 sets each leave out one of them or none. Projections and
+attention logits are computed once per group; only the masked softmaxes
+and the pooling weights are per set.
 """
 
 from __future__ import annotations
@@ -90,9 +91,9 @@ class EnrollmentStack:
 
     embeddings is (N, d_a) and members (G, K) holds each group's row
     indices. masked (G, R, K) is True where set g * R + r leaves an entry
-    of group g out: a spoofed entry, a slot held out for testing, or the
-    padding of a set shorter than K. Masked entries never influence that
-    set's pooled vector or its gradients.
+    of group g out: a spoofed entry, an entry held out for testing, or the
+    padding of a group or set shorter than K. Masked entries never
+    influence that set's pooled vector or its gradients.
     """
 
     embeddings: np.ndarray

@@ -179,6 +179,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+def _copy_of(embeddings: dict, ids) -> dict:
+    """The vectors of ids only, copied, so that the full map can be freed."""
+    return {u: embeddings[u].copy() for u in dict.fromkeys(ids)}
+
+
 def cmd_train(args) -> int:
     manifest = dio.load_manifest(args.manifest)
     if not manifest.utterances:
@@ -191,7 +196,10 @@ def cmd_train(args) -> int:
         trials = dio.load_trials(args.dev_trials)
         dio.resolve_trials(trials, asv_map, cm_map)
         check_classes((t.label for t in trials), args.dev_trials)
-        dev_bundle = (trials, asv_map, cm_map)
+        tests = [t.test_id for t in trials]
+        dev_bundle = (trials, _copy_of(asv_map, [e for t in trials for e in t.enroll_ids] + tests),
+                      _copy_of(cm_map, tests))
+    del asv_map, cm_map  # the pool and the dev bundle hold their own copies
     config = _config_from_args(TrainConfig, args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

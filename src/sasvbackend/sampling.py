@@ -12,8 +12,8 @@ The training pool is built once from arrays (ids, bona-fide flags, ASV and
 CM matrices) and checked in one pass; a record is built only when the pool
 is indexed. A mini-batch is an (M, K) array of pool rows, and its pairs are
 arrays too: a test row, an enrollment set and a label each, gathered from
-the pool. A block holds K/2 >= 2 bona-fide entries, so every enrollment
-keeps one.
+the pool. An enrollment group holds only its speaker's K/2 >= 2 bona-fide
+rows (spoofed entries carry no weight), so every enrollment keeps one.
 """
 
 from __future__ import annotations
@@ -128,9 +128,11 @@ class PairBatch(TrialBatch):
 
     Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
     holds utterance j of speaker l. The enrollment stack has one group per
-    speaker, and its set n*K + j is speaker n without slot j. Pair i tests
-    row test_row[i] against enrollment set enroll_set[i]; positive[i] is its
-    label.
+    speaker holding its B bona-fide rows (B = K/2 for a drawn batch) under
+    B + 1 sets: set n*(B+1) + j leaves out speaker n's bona-fide entry j
+    for j < B, and set n*(B+1) + B keeps them all. Pair i = (l*K + m)*M + n
+    tests row test_row[i] = l*K + m against enrollment set enroll_set[i],
+    speaker n's set without slot m; positive[i] is its label.
     """
 
     bonafide: np.ndarray
@@ -186,9 +188,11 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     For test utterance m of speaker l, the enrollment against speaker n is
     speaker n's utterances with index m excluded, mirroring the row pattern
     where a test at slot 2 pairs with slots 1, 3, 4 of every speaker.
-    Each speaker's K utterances form one enrollment group; the excluded
-    slot and the spoofed entries stay in it but are masked.
-    Pairs are ordered by (l, m, n). test_asv, which is also the
+    Spoofed entries get zero weight, so each speaker's group holds only its
+    bona-fide rows, in slot order, under the sets PairBatch describes; a
+    pair whose slot m is spoofed takes speaker n's full set. A block with
+    fewer bona-fide rows than the widest is padded with entries masked in
+    every set. Pairs are ordered by (l, m, n). test_asv, which is also the
     enrollment stack's embeddings, test_cm and bonafide are one gather
     each from the pool's arrays by the batch's row indices.
     """
@@ -196,16 +200,23 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     rows = batch.rows.reshape(-1)
     asv = np.take(batch.pool.asv, rows, axis=0)
     bonafide = np.take(batch.pool.bonafide, rows)
-    members = np.arange(m * k).reshape(m, k)
-    # set j of speaker n's group masks the spoofed slots and slot j
-    masked = ~bonafide[members][:, None, :] | np.eye(k, dtype=bool)
+    block = bonafide.reshape(m, k)
+    count = block.sum(axis=1)
+    width = int(count.max())
+    # each block's bona-fide slots first, in slot order; the rest pads
+    members = np.argsort(~block, axis=1, kind="stable")[:, :width] + k * np.arange(m)[:, None]
+    padding = np.arange(width) >= count[:, None]
+    masked = np.eye(width + 1, width, dtype=bool) | padding[:, None, :]
+    # the set each (speaker, slot) pair takes: its bona-fide rank, or the full set
+    held_out = np.where(block, np.cumsum(block, axis=1) - 1, width)
+    set_of = held_out + (width + 1) * np.arange(m)[:, None]
     test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
     return PairBatch(
         test_asv=asv,
         test_cm=np.take(batch.pool.cm, rows, axis=0),
         enroll=EnrollmentStack(asv, members, masked),
         test_row=test_row,
-        enroll_set=enroll_speaker * k + test_row % k,
+        enroll_set=set_of[enroll_speaker, test_row % k],
         bonafide=bonafide,
         positive=(enroll_speaker == test_row // k) & bonafide[test_row],
     )

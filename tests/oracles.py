@@ -13,7 +13,7 @@ from sasvbackend import backend as bk
 from sasvbackend import training as tr
 from sasvbackend.data import (DimensionMismatchError, DuplicateIdError, MalformedLineError,
                               _read_lines)
-from sasvbackend.sampling import PoolExhaustedError, SpeakerBlock
+from sasvbackend.sampling import MiniBatch, PoolExhaustedError, SpeakerBlock, TrainingPool
 
 
 def brute_force_eer(positives, negatives):
@@ -45,27 +45,40 @@ def brute_force_eer(positives, negatives):
     raise AssertionError("no crossing found")
 
 
+def enrolled_vectors(pairs, i):
+    """The ASV vectors that pair i's enrollment set keeps unmasked, in
+    member order, read from the PairBatch's stack."""
+    stack = pairs.enroll
+    group, r = divmod(int(pairs.enroll_set[i]), stack.masked.shape[1])
+    return stack.embeddings[stack.members[group][~stack.masked[group, r]]]
+
+
 def per_pair_batch_loss(params, pairs, config, batch):
     """Reference training loss: one scalar graph per pair.
 
     Each pair's test utterance and enrollment set are rebuilt as records
-    from the MiniBatch: row l*K + j is utterance j of speaker l, and set
-    n*K + j is speaker n's utterances without slot j. The label follows
-    from the records. Each enrollment set is pooled on its own, both heads
-    and the fusion run on 1 x 1 values, the selected losses are summed one
-    by one in pair order and the sum is scaled by 1/len(selected). Returns
-    (loss, selected) like training.batch_loss.
+    from the MiniBatch and the pair's position: pair i = (l*K + m)*M + n
+    tests utterance m of speaker l against speaker n's utterances without
+    slot m. The set the PairBatch assigns it must keep exactly the
+    bona-fide ones of these. The label follows from the records. Each
+    enrollment set is pooled on its own, both heads and the fusion run on
+    1 x 1 values, the selected losses are summed one by one in pair order
+    and the sum is scaled by 1/len(selected). Returns (loss, selected)
+    like training.batch_loss.
     """
-    k = batch.k
+    m, k = batch.m, batch.k
     pooled = {}
     losses = []
     labels = []
-    for test_row, enroll_set in zip(pairs.test_row, pairs.enroll_set):
-        test = batch.speakers[test_row // k].utterances[test_row % k]
-        speaker, slot = divmod(int(enroll_set), k)
+    for i in range(len(pairs)):
+        test_row, speaker = divmod(i, m)
+        slot = test_row % k
+        test = batch.speakers[test_row // k].utterances[slot]
         block = batch.speakers[speaker]
+        kept = [u for j, u in enumerate(block.utterances) if j != slot]
+        assert np.array_equal(enrolled_vectors(pairs, i),
+                              [u.asv_embedding.values for u in kept if u.bonafide]), i
         if (speaker, slot) not in pooled:
-            kept = [u for j, u in enumerate(block.utterances) if j != slot]
             enroll = bk.EnrollmentSet(block.speaker_id, tuple(u.asv_embedding for u in kept),
                                       tuple(u.bonafide for u in kept))
             pooled[speaker, slot] = (bk.pool_enrollments(params, enroll)
@@ -82,6 +95,19 @@ def per_pair_batch_loss(params, pairs, config, batch):
     for i in selected[1:]:
         total = ad.add(total, losses[i])
     return ad.affine(total, 1.0 / len(selected)), selected
+
+
+def uneven_batch(rng, bona_counts, k=6, d_a=6, d_c=4):
+    """A hand-built MiniBatch of K slots per block whose blocks hold
+    bona_counts[l] bona-fide rows (the rest spoofed), each block in a
+    random slot order; draw_batch gives every block K/2. Every speaker
+    has K bona-fide and K spoofed utterances in the pool."""
+    rows = [(f"s{s}", f"s{s}-{j}", j < k) for s in range(len(bona_counts)) for j in range(2 * k)]
+    draws = rng.standard_normal((len(rows), d_a + d_c))  # ASV, then CM, per utterance
+    pool = TrainingPool(*zip(*rows), draws[:, :d_a], draws[:, d_a:])
+    blocks = [rng.permutation(np.r_[np.arange(n), k + np.arange(k - n)]) + 2 * k * s
+              for s, n in enumerate(bona_counts)]
+    return MiniBatch(pool, np.array(blocks))
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:

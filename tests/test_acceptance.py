@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import brute_force_eer
+from oracles import brute_force_eer, enrolled_vectors
 
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
@@ -146,14 +146,18 @@ def test_criterion_2_sampler_oracle():
         positives = [p for p in pairs if p.positive]
         utterances = [u for block in batch.speakers for u in block.utterances]
         # exhaustive enumeration of the label rule over every pair
-        for p in pairs:
-            test = utterances[p.test_row]
-            group, slot = divmod(p.enroll_set, pairs.enroll.masked.shape[1])
-            enrolled = [utterances[row] for s, row in enumerate(pairs.enroll.members[group])
-                        if s != slot]
+        # pair i = (l*K + slot)*M + n tests slot of speaker l against speaker n
+        for i, p in enumerate(pairs):
+            test_row, n = divmod(i, m)
+            test = utterances[test_row]
+            assert p.test_row == test_row
+            enrolled = [u for j, u in enumerate(batch.speakers[n].utterances)
+                        if j != test_row % k]
             (speaker,) = {u.speaker_id for u in enrolled}
             assert p.positive == (test.speaker_id == speaker and test.bonafide)
             assert test.utterance_id not in {u.utterance_id for u in enrolled}
+            assert np.array_equal(enrolled_vectors(pairs, i),
+                                  [u.asv_embedding.values for u in enrolled if u.bonafide])
         assert len(pairs) == want_pairs, (m, k)
         assert len(positives) == want_pos, (m, k)
     print("criterion 2 PASS: 36/6 pairs at (3,4), 2560/80 pairs at (16,10)")

@@ -420,9 +420,11 @@ class TestGroupPooling:
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_excluded_slot_cannot_leak(self, pooling):
         pairs = pair_batch(6, seed=3)
-        k = 4
+        m, k = 4, 4
         n = 2
         j = int(np.flatnonzero(pairs.bonafide[n * k:(n + 1) * k])[0])
+        # speaker n's set for a test at each slot: pair (l, slot, n) with l = 0
+        set_for = pairs.enroll_set[np.arange(k) * m + n]
         params = make_params(d_a=6, d_c=5, h_f=3, seed=3)
 
         def pooled(embeddings):
@@ -432,10 +434,10 @@ class TestGroupPooling:
         changed = pairs.enroll.embeddings.copy()
         changed[n * k + j] = np.random.default_rng(0).standard_normal(6) * 100.0
         before, after = pooled(pairs.enroll.embeddings), pooled(changed)
-        assert np.array_equal(before[n * k + j], after[n * k + j])
+        assert np.array_equal(before[set_for[j]], after[set_for[j]])
         # the row does reach the speaker's sets that keep it
-        other = next(s for s in range(k) if s != j and not pairs.enroll.masked[n, s].all())
-        assert not np.array_equal(before[n * k + other], after[n * k + other])
+        other = next(s for s in range(k) if s != j)
+        assert not np.array_equal(before[set_for[other]], after[set_for[other]])
 
     def test_tape_holds_no_per_set_stack(self):
         m, k = 4, 4

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import tempfile
+import weakref
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from sasvbackend import cli
 from sasvbackend import data as dio
 from sasvbackend.backend import BackendParams, ZeroNormError
-from sasvbackend.training import TrainConfig
+from sasvbackend.training import EpochLog, TrainConfig, TrainResult
 
 SYNTH_SMALL = [
     "--train-speakers", "4", "--dev-speakers", "2", "--eval-speakers", "2",
@@ -88,6 +89,46 @@ class TestTrain:
         assert code == 0
         line = (out / "train.log").read_text().splitlines()[0]
         assert len(line.split("\t")) == 6
+
+    @pytest.mark.parametrize("dev", [False, True])
+    def test_training_runs_without_the_loaded_embedding_maps(self, corpus, tmp_path,
+                                                             monkeypatch, dev):
+        """The pool holds its own copy of the training vectors, so the maps
+        read from the files are freed before training; a dev bundle keeps
+        copies of only the vectors its trials reference."""
+        loaded, seen = [], {}
+        load = dio.load_embeddings
+
+        def tracked_load(path):
+            embeddings = load(path)
+            base = next(iter(embeddings.values())).base  # the C reader's matrix
+            assert base is not None
+            loaded.append(weakref.ref(base))
+            return embeddings
+
+        def stub_train(pool, config, checkpoint_dir=None, log_path=None, dev_bundle=None):
+            seen["alive"] = [ref() is not None for ref in loaded]
+            seen["bundle"] = dev_bundle
+            return TrainResult(pool, [EpochLog(1, config.learning_rate, 0.5)])
+        monkeypatch.setattr(dio, "load_embeddings", tracked_load)
+        monkeypatch.setattr(cli, "train", stub_train)
+        dev_args = ["--dev-trials", str(corpus / "trials_dev.tsv")] if dev else []
+        assert cli.main(["train", "--manifest", str(corpus / "manifest.tsv"),
+                         *data_args(corpus), "--out", str(tmp_path / "run"), *TRAIN_SMALL,
+                         *dev_args]) == 0
+        assert seen["alive"] == [False, False]
+        if not dev:
+            assert seen["bundle"] is None
+            return
+        trials, asv, cm = seen["bundle"]
+        tests = {t.test_id for t in trials}
+        assert set(asv) == tests | {e for t in trials for e in t.enroll_ids}
+        assert set(cm) == tests
+        assert len(asv) < len(load(corpus / "asv_embeddings.txt"))
+        for embeddings, name in ((asv, "asv_embeddings.txt"), (cm, "cm_embeddings.txt")):
+            full = load(corpus / name)
+            for utt, values in embeddings.items():
+                assert values.tobytes() == full[utt].tobytes(), utt
 
     @pytest.mark.parametrize("utt, message", [
         ("trn001-b002", "ASV embedding 'trn001-b002'"),  # a manifest entry

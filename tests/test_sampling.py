@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import draw_batch_by_records
+from oracles import draw_batch_by_records, enrolled_vectors, uneven_batch
 
 from sasvbackend import autodiff as ad
 from sasvbackend import sampling as sm
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams, ZeroNormError
+from sasvbackend.backend import BackendParams, DegenerateEnrollmentError, ZeroNormError
 
 
 def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, seed=0):
@@ -25,18 +25,22 @@ def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, see
 
 
 def pair_records(batch, pairs, i):
-    """Pair i read back from the arrays as records: its test utterance, the
-    speaker of its enrollment group, the K - 1 utterances of the group
-    other than the set's held-out slot, and the set's mask over them."""
+    """Pair i = (l*K + m)*M + n read back as records: its test utterance
+    (slot m of speaker l), speaker n, the K - 1 utterances of speaker n
+    other than slot m, and the mask the pair's set puts over them. The set
+    must keep exactly the bona-fide ones."""
     utterances = [u for block in batch.speakers for u in block.utterances]
     for row, u in enumerate(utterances):
         assert np.array_equal(pairs.test_asv[row], u.asv_embedding.values)
-    group, slot = divmod(int(pairs.enroll_set[i]), pairs.enroll.masked.shape[1])
-    members = [utterances[row] for row in pairs.enroll.members[group]]
-    (speaker,) = {u.speaker_id for u in members}
-    kept = [s for s in range(len(members)) if s != slot]
-    return (utterances[pairs.test_row[i]], speaker, [members[s] for s in kept],
-            pairs.enroll.masked[group, slot][kept])
+    test_row, n = divmod(i, batch.m)
+    assert pairs.test_row[i] == test_row
+    block = batch.speakers[n]
+    enrolled = [u for j, u in enumerate(block.utterances) if j != test_row % batch.k]
+    kept = enrolled_vectors(pairs, i)
+    assert np.array_equal(kept, [u.asv_embedding.values for u in enrolled if u.bonafide])
+    masked = np.array([not (kept == u.asv_embedding.values).all(axis=1).any()
+                       for u in enrolled])
+    return utterances[test_row], block.speaker_id, enrolled, masked
 
 
 class TestDrawBatch:
@@ -359,6 +363,20 @@ class TestExpandPairs:
                 _, _, enrolled, masked = pair_records(batch, pairs, i)
                 assert np.array_equal(masked, [not u.bonafide for u in enrolled])
                 assert any(u.bonafide for u in enrolled)
+
+    @pytest.mark.parametrize("m, k", [(3, 4), (4, 6), (16, 10)])
+    def test_groups_hold_only_distinct_bonafide_sets(self, m, k):
+        pool = make_pool(m + 1, k // 2 + 1, k // 2 + 1)
+        pairs = sm.expand_pairs(sm.draw_batch(pool, m, k, np.random.default_rng(k)))
+        stack = pairs.enroll
+        assert stack.masked.shape == (m, k // 2 + 1, k // 2)
+        assert pairs.bonafide[stack.members].all()
+        for masks in stack.masked:
+            assert len({mask.tobytes() for mask in masks}) == len(masks)
+
+    def test_block_with_one_bonafide_row_is_degenerate(self):
+        with pytest.raises(DegenerateEnrollmentError):
+            sm.expand_pairs(uneven_batch(np.random.default_rng(0), (4, 1, 4)))
 
     @given(m=st.integers(2, 5), half_k=st.integers(1, 3), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)

@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_pair_batch_loss
+from oracles import per_pair_batch_loss, uneven_batch
 
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams
+from sasvbackend.backend import BackendParams, EnrollmentStack
 from sasvbackend.sampling import TrainingPool, draw_batch, expand_pairs
 
 
@@ -224,10 +224,30 @@ def loss_and_grads(loss_fn, pairs, config, seed):
     return loss.item(), selected, {n: t.grad.copy() for n, t in params.parameters()}
 
 
+def k_slot_layout(pairs, m, k):
+    """The pairs under the K-slot enrollment layout: group n holds all K
+    rows of speaker n, and set n*K + j masks its spoofed slots and slot j."""
+    members = np.arange(m * k).reshape(m, k)
+    masked = ~pairs.bonafide[members][:, None, :] | np.eye(k, dtype=bool)
+    test_row, speaker = np.divmod(np.arange(m * k * m), m)
+    return dataclasses.replace(pairs, enroll=EnrollmentStack(pairs.test_asv, members, masked),
+                               enroll_set=speaker * k + test_row % k)
+
+
 class TestBatchedForward:
     # fixed before the batched forward was written: float64 round-off from
     # a different summation order, far below any real gradient defect
     RTOL = 1e-12
+
+    def assert_same(self, got, want):
+        """Same selected pairs, losses within RTOL and every gradient within
+        RTOL times its group's largest entry."""
+        (loss, selected, grads), (want, want_selected, want_grads) = got, want
+        assert selected == want_selected
+        assert abs(loss - want) <= self.RTOL * abs(want)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=0,
+                                       atol=self.RTOL * np.max(np.abs(g)), err_msg=name)
 
     @given(m=st.integers(2, 4), half_k=st.integers(2, 3), top_n=st.integers(1, 40),
            pooling=st.sampled_from(["attention", "average"]),
@@ -241,36 +261,59 @@ class TestBatchedForward:
         config = tr.TrainConfig(hard_negative_top_n=top_n, pooling=pooling, hidden_dim=3,
                                 hard_selection=mode, speakers_per_batch=m,
                                 utterances_per_speaker=k)
-        loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, seed)
-        want, want_selected, want_grads = loss_and_grads(
-            functools.partial(per_pair_batch_loss, batch=batch), pairs, config, seed)
-        assert selected == want_selected
-        assert abs(loss - want) <= self.RTOL * abs(want)
-        for name, g in want_grads.items():
-            np.testing.assert_allclose(grads[name], g, rtol=0,
-                                       atol=self.RTOL * np.max(np.abs(g)), err_msg=name)
+        self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, seed), loss_and_grads(
+            functools.partial(per_pair_batch_loss, batch=batch), pairs, config, seed))
+
+    @pytest.mark.parametrize("m, k", [(3, 4), (4, 6), (16, 10)])
+    @pytest.mark.parametrize("mode", tr.HARD_SELECTION_MODES)
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_matches_the_k_slot_layout(self, m, k, mode, pooling):
+        """Holding only the bona-fide rows, under K/2 + 1 sets per speaker,
+        computes the loss of the layout that holds all K rows under K sets."""
+        rng = np.random.default_rng(m * k)
+        pairs = expand_pairs(draw_batch(random_pool(rng, m + 1, k // 2), m, k, rng))
+        config = tr.TrainConfig(hard_negative_top_n=2 * m * k, pooling=pooling, hidden_dim=3,
+                                hard_selection=mode, speakers_per_batch=m,
+                                utterances_per_speaker=k)
+        self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, k),
+                         loss_and_grads(tr.batch_loss, k_slot_layout(pairs, m, k), config, k))
+
+    @pytest.mark.parametrize("bona_counts", [(4, 2, 4), (4, 2, 3)])
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_uneven_blocks_match_per_pair_reference(self, bona_counts, pooling):
+        """A hand-built batch whose blocks hold different bona-fide counts;
+        (4, 2, 3) totals M * K/2 rows, as an even batch does."""
+        batch = uneven_batch(np.random.default_rng(sum(bona_counts)), bona_counts)
+        pairs = expand_pairs(batch)
+        config = tr.TrainConfig(hard_negative_top_n=20, pooling=pooling, hidden_dim=3,
+                                speakers_per_batch=3, utterances_per_speaker=6)
+        self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, 4), loss_and_grads(
+            functools.partial(per_pair_batch_loss, batch=batch), pairs, config, 4))
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_spoofed_enrollment_content_cannot_leak(self, pooling):
         """Replacing every spoofed row of a whole batch's enrollment side
         with random content changes the loss and every gradient by exactly
-        0; the test side keeps the real rows."""
+        0; the test side keeps the real rows. expand_pairs leaves spoofed
+        rows out of its groups, so the K-slot layout, whose groups hold
+        them masked, is checked too."""
         rng = np.random.default_rng(31)
-        pairs = expand_pairs(draw_batch(random_pool(rng, 5, 3), 4, 6, rng))
+        drawn = expand_pairs(draw_batch(random_pool(rng, 5, 3), 4, 6, rng))
         config = tr.TrainConfig(hard_negative_top_n=30, pooling=pooling, hidden_dim=3,
                                 speakers_per_batch=4, utterances_per_speaker=6)
-        spoofed = ~pairs.bonafide
-        swapped = pairs.enroll.embeddings.copy()
-        swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
-        fake = dataclasses.replace(
-            pairs, enroll=dataclasses.replace(pairs.enroll, embeddings=swapped))
-        assert not np.array_equal(fake.enroll.embeddings, pairs.test_asv)
-        loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, 8)
-        loss2, selected2, grads2 = loss_and_grads(tr.batch_loss, fake, config, 8)
-        assert loss == loss2 and selected == selected2
-        assert len(grads) == 13
-        for name in grads:
-            assert np.array_equal(grads[name], grads2[name]), name
+        for pairs in (drawn, k_slot_layout(drawn, 4, 6)):
+            spoofed = ~pairs.bonafide
+            swapped = pairs.enroll.embeddings.copy()
+            swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
+            fake = dataclasses.replace(
+                pairs, enroll=dataclasses.replace(pairs.enroll, embeddings=swapped))
+            assert not np.array_equal(fake.enroll.embeddings, pairs.test_asv)
+            loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, 8)
+            loss2, selected2, grads2 = loss_and_grads(tr.batch_loss, fake, config, 8)
+            assert loss == loss2 and selected == selected2
+            assert len(grads) == 13
+            for name in grads:
+                assert np.array_equal(grads[name], grads2[name]), name
 
 
 class TestTrain:
