@@ -379,19 +379,16 @@ def gather(a: Tensor, index) -> Tensor:
     accumulates deterministically.
     """
     index = np.asarray(index, dtype=np.intp)
-    value = np.take(a.value, index, axis=0)
-    if a.tape is None:
-        return _make(value, None)
-    picked = index.reshape(-1)
-    order = np.argsort(picked, kind="stable")
-    rows, starts = np.unique(picked[order], return_index=True)
 
     def scatter(g):
+        picked = index.reshape(-1)
+        order = np.argsort(picked, kind="stable")
+        rows, starts = np.unique(picked[order], return_index=True)
         g = g.reshape((-1,) + a.shape[1:])
         ga = np.zeros_like(a.value)
         ga[rows] = np.add.reduceat(g[order], starts, axis=0)
         return ga
-    return _op(value, (a, scatter))
+    return _op(np.take(a.value, index, axis=0), (a, scatter))
 
 
 def softmax_masked(logits: Tensor, mask=None) -> Tensor:

@@ -92,8 +92,8 @@ class EnrollmentStack:
     embeddings is (N, d_a) and members (G, K) holds each group's row
     indices. masked (G, R, K) is True where set g * R + r leaves an entry
     of group g out: a spoofed entry, an entry held out for testing, or the
-    padding of a group or set shorter than K. Masked entries never
-    influence that set's pooled vector or its gradients.
+    padding of a training group shorter than K (scoring pads nothing).
+    Masked entries never influence that set's pooled vector or gradients.
     """
 
     embeddings: np.ndarray

@@ -202,7 +202,6 @@ def cmd_train(args) -> int:
     del asv_map, cm_map  # the pool and the dev bundle hold their own copies
     config = _config_from_args(TrainConfig, args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     result = train(pool, config, checkpoint_dir=out, log_path=out / "train.log",
                    dev_bundle=dev_bundle)
     last = result.epoch_logs[-1]

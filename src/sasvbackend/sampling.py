@@ -147,16 +147,11 @@ class PairBatch(TrialBatch):
                             bool(self.positive[i]))
 
 
-def draw_batch(pool: TrainingPool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
-    """Sample a mini-batch of m speakers with k/2 bona-fide + k/2 spoofed
-    utterances each, without replacement inside the batch.
-
-    The eligible speakers are found from the pool's per-speaker counts,
-    and the batch holds the drawn pool rows as an (m, k) index array.
-    Excluding one slot from a block must leave a bona-fide entry, which
-    holds for every block when k >= 4 and for none when k = 2, so k = 2
-    raises PoolExhaustedError. Deterministic for a given rng state.
-    """
+def eligible_speakers(pool: TrainingPool, m: int, k: int) -> np.ndarray:
+    """The speakers (indices in sorted id order) with k/2 bona-fide and k/2
+    spoofed utterances; draws no random numbers. An odd or non-positive k or
+    m < 2 raises ValueError; k = 2 (holding out a block's one bona-fide slot
+    empties it) or fewer than m such speakers raise PoolExhaustedError."""
     if k <= 0 or k % 2 != 0:
         raise ValueError(f"k must be positive and even, got {k}")
     if m < 2:
@@ -172,7 +167,15 @@ def draw_batch(pool: TrainingPool, m: int, k: int, rng: np.random.Generator) -> 
             f"utterances, only {len(eligible)} qualify "
             f"({np.count_nonzero(pool.n_bona < half)} speakers lack bona-fide utterances)"
         )
+    return eligible
 
+
+def draw_batch(pool: TrainingPool, m: int, k: int, rng: np.random.Generator) -> MiniBatch:
+    """Sample m eligible speakers with k/2 bona-fide + k/2 spoofed utterances
+    each, without replacement inside the batch, as an (m, k) array of pool
+    rows. Deterministic for a given rng state."""
+    eligible = eligible_speakers(pool, m, k)
+    half = k // 2
     rows = np.empty((m, k), dtype=np.intp)
     for l, speaker in enumerate(eligible[rng.choice(len(eligible), size=m, replace=False)]):
         bona, spoof = pool.bona_rows[speaker], pool.spoof_rows[speaker]

@@ -8,9 +8,10 @@ Three scorers share one set of parameters:
 
 Enrollment utterances in trial lists follow the usual convention of being
 bona fide, so no masking applies at scoring time. Trials are scored in
-batched forward passes: within a pass each distinct (claimed speaker,
-enrollment ids) set is pooled once and each distinct test utterance goes
-through the CM head once.
+batched forward passes, each over enrollment sets of one size, so no pass
+pads a set: within a pass each distinct (claimed speaker, enrollment ids)
+set is pooled once and each distinct test utterance goes through the CM
+head once.
 """
 
 from __future__ import annotations
@@ -29,10 +30,10 @@ from .metrics import ScoreRecord, score_sum_baseline
 
 SCORERS = ("fused", "asv_only", "score_sum")
 
-# limits of one forward pass, which bound peak memory: trials, whose
-# gathered per-trial rows would otherwise dominate on a long trial list,
-# and padded enrollment rows (distinct sets x widest set), which dominate
-# when sets are long and rarely shared
+# limits of one forward pass, which bound peak memory: trials, which bound
+# the distinct test rows a pass gathers (unbounded, score-eval's peak RSS
+# rose from about 145 to 157 MB), and enrollment rows (distinct sets x set
+# size), which dominate when sets are long and rarely shared
 SCORE_CHUNK = 1024
 SCORE_POOL_ROWS = 1024
 
@@ -44,35 +45,31 @@ def _index(keys) -> tuple[dict, np.ndarray]:
 
 
 def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
-    """The trials as one forward-pass batch. Each distinct (claimed speaker,
-    enrollment ids) set is an enrollment group of its own (R = 1) and each
-    distinct test utterance appears once; shorter enrollment sets are
-    padded with masked entries."""
+    """The trials, whose enrollment sets have one size, as one forward-pass
+    batch: each distinct (claimed speaker, enrollment ids) set is an
+    enrollment group of its own (R = 1) and each distinct test utterance
+    appears once."""
     claims, enroll_set = _index((t.claimed_speaker, t.enroll_ids) for t in trials)
     tests, test_row = _index(t.test_id for t in trials)
-    width = max(len(ids) for _, ids in claims)
-    members = np.zeros((len(claims), width), dtype=np.intp)
-    masked = np.ones((len(claims), 1, width), dtype=bool)
-    enroll_ids: list[str] = []
-    for s, (_, ids) in enumerate(claims):
-        members[s, :len(ids)] = np.arange(len(ids)) + len(enroll_ids)
-        masked[s, 0, :len(ids)] = False
-        enroll_ids += ids
+    sets, size = len(claims), len(trials[0].enroll_ids)
     return TrialBatch(np.array([asv_map[t] for t in tests]), np.array([cm_map[t] for t in tests]),
-                      EnrollmentStack(np.array([asv_map[e] for e in enroll_ids]), members, masked),
+                      EnrollmentStack(np.array([asv_map[e] for _, ids in claims for e in ids]),
+                                      np.arange(sets * size).reshape(sets, size),
+                                      np.zeros((sets, 1, size), dtype=bool)),
                       test_row, enroll_set)
 
 
 def _chunks(trials: TrialList):
     """Trial positions for each forward pass, taken in order of enrollment
-    set size so that shorter sets need little padding."""
+    set size; a pass holds sets of one size."""
     chunk: list[int] = []
     sets: set = set()
     for i in sorted(range(len(trials)), key=lambda i: len(trials[i].enroll_ids)):
         t = trials[i]
         key = (t.claimed_speaker, t.enroll_ids)
         rows = (len(sets) + (key not in sets)) * len(t.enroll_ids)
-        if chunk and (len(chunk) == SCORE_CHUNK or rows > SCORE_POOL_ROWS):
+        if chunk and (len(chunk) == SCORE_CHUNK or rows > SCORE_POOL_ROWS
+                      or len(t.enroll_ids) != len(trials[chunk[-1]].enroll_ids)):
             yield chunk
             chunk, sets = [], set()
         chunk.append(i)
@@ -85,9 +82,10 @@ def score_trials(params: BackendParams, trials: TrialList, asv_map, cm_map,
                  pooling: str = "attention", scorer: str = "fused") -> list[ScoreRecord]:
     """Produce one ScoreRecord per trial, in trial order.
 
-    Trials are scored in forward passes of at most SCORE_CHUNK trials and
-    SCORE_POOL_ROWS padded enrollment rows. A trial's score matches scoring
-    it on its own to round-off (about 1e-16 relative), not to the last bit.
+    Trials are scored in forward passes of one enrollment set size, at
+    most SCORE_CHUNK trials and at most SCORE_POOL_ROWS enrollment rows. A
+    trial's score matches scoring it on its own to round-off (about 1e-16
+    relative), not to the last bit.
     """
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")

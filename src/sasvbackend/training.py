@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backend import BackendParams, POOLING_MODES, forward_batch
 from .metrics import evaluate
-from .sampling import PairBatch, TrainingPool, draw_batch, expand_pairs
+from .sampling import PairBatch, TrainingPool, draw_batch, eligible_speakers, expand_pairs
 from .scoring import score_trials
 
 BCE_CLAMP = 1e-12
@@ -173,11 +173,13 @@ def train(pool: TrainingPool, config: TrainConfig, checkpoint_dir=None, log_path
 
     dev_bundle, when given, is (trials, asv_map, cm_map); the dev SV-, SPF-
     and SASV-EER of the fused scorer are then logged per epoch. Writes one
-    checkpoint per epoch plus final.ckpt when checkpoint_dir is set.
+    checkpoint per epoch plus final.ckpt when checkpoint_dir is set; a
+    batch layout the pool cannot supply raises before anything is written.
     """
     d_a, d_c = pool.asv.shape[1], pool.cm.shape[1]
     m = config.speakers_per_batch
     k = config.utterances_per_speaker
+    eligible_speakers(pool, m, k)
 
     rng = np.random.default_rng(config.seed)
     tape = Tape()

@@ -378,8 +378,8 @@ class TestAsvHeadPerDistinctRow:
 
 
 def padded_stack(rng, lengths, d_a, spoofed=()):
-    """One group per set (R = 1), padded to the longest set like a scoring
-    pass; spoofed holds (set, slot) entries masked as spoofed."""
+    """One group per set (R = 1), each padded to the longest set with masked
+    entries; spoofed holds (set, slot) entries masked as spoofed."""
     members = np.zeros((len(lengths), max(lengths)), dtype=np.intp)
     masked = np.ones((len(lengths), 1, max(lengths)), dtype=bool)
     for s, length in enumerate(lengths):

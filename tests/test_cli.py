@@ -168,6 +168,22 @@ class TestTrain:
         assert f"error: {bad}: {message}" in capsys.readouterr().err
         assert not out.exists()  # no epoch ran, no train.log left behind
 
+    @pytest.mark.parametrize("flag, value, code, message", [
+        ("--utterances-per-speaker", "5", 2, "k must be positive and even, got 5"),
+        ("--utterances-per-speaker", "2", 3, "k must be at least 4"),
+        ("--speakers-per-batch", "1", 2, "m must be at least 2, got 1"),
+        ("--speakers-per-batch", "9", 3, "need 9 speakers"),  # the corpus has 4
+    ], ids=["odd-k", "k-2", "m-1", "m-over-pool"])
+    def test_bad_batch_layout_exits_before_writing(self, corpus, tmp_path, capsys,
+                                                   flag, value, code, message):
+        out = tmp_path / "run"
+        assert cli.main([
+            "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+            "--out", str(out), "--seed", "1", *TRAIN_SMALL, flag, value,
+        ]) == code
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # no directory, no empty train.log
+
     def test_pool_exhausted_exits_3(self, corpus, tmp_path, capsys):
         code = cli.main([
             "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),

@@ -99,14 +99,22 @@ def _mixed_size_trials(ds, sizes=(1, 3, 7, 7, 1, 3, 1, 7)):
 @pytest.mark.parametrize("pooling", ["attention", "average"])
 @pytest.mark.parametrize("chunk,rows", [(2, 1024), (3, 1024), (1024, 1024), (1024, 8)])
 def test_mixed_set_sizes_match_single_trial_scores(setup, monkeypatch, pooling, chunk, rows):
-    # enrollment sets of 1, 3 and 7 entries, scored in order of size: with
-    # 2 or 3 trials per forward pass some passes mix sizes (1 with 3, 3 with
-    # 7), with one pass every shorter set is padded to 7 entries, and an
-    # 8-row limit splits passes by size
+    # enrollment sets of 1, 3 and 7 entries, scored in order of size: a
+    # size change starts a new pass, 2 or 3 trials per pass also split the
+    # trials of one size, and an 8-row limit splits the 7-entry sets; no
+    # pass pads a set with masked entries
     ds, params = setup
     trials = _mixed_size_trials(ds)
     monkeypatch.setattr(scoring, "SCORE_CHUNK", chunk)
     monkeypatch.setattr(scoring, "SCORE_POOL_ROWS", rows)
+    stacks = []
+    trial_batch = scoring._trial_batch
+
+    def recorded(*args):
+        batch = trial_batch(*args)
+        stacks.append(batch.enroll)
+        return batch
+    monkeypatch.setattr(scoring, "_trial_batch", recorded)
     expected = [_single_trial_scores(params, t, ds.asv_embeddings, ds.cm_embeddings, pooling)
                 for t in trials]
     for scorer in scoring.SCORERS:
@@ -115,25 +123,31 @@ def test_mixed_set_sizes_match_single_trial_scores(setup, monkeypatch, pooling, 
         assert [r.test_utterance for r in records] == [t.test_id for t in trials]
         got = np.array([r.score for r in records])
         want = np.array([e[scorer] for e in expected])
-        # padding changes the inner length of the batched products, so
+        # a batched product may sum in another order than one trial's, so
         # equality holds to round-off, not to the last bit
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    assert stacks and not any(stack.masked.any() for stack in stacks)
 
 
 def test_forward_passes_respect_both_limits(setup, monkeypatch):
     ds, _ = setup
     trials = _mixed_size_trials(ds, sizes=(1, 3, 7, 7, 1, 3, 1, 7, 3, 1, 1, 12))
     monkeypatch.setattr(scoring, "SCORE_CHUNK", 3)
-    monkeypatch.setattr(scoring, "SCORE_POOL_ROWS", 8)
-    chunks = list(scoring._chunks(trials))
-    assert sorted(i for c in chunks for i in c) == list(range(len(trials)))
-    widths = [len(trials[i].enroll_ids) for c in chunks for i in c]
-    assert widths == sorted(widths)
-    for c in chunks:
-        assert len(c) <= 3
-        sets = {(trials[i].claimed_speaker, trials[i].enroll_ids) for i in c}
-        # a set wider than the limit gets a pass of its own
-        assert len(sets) == 1 or len(sets) * max(len(k[1]) for k in sets) <= 8
+    # at 8 rows the row limit alone cuts at most size changes; at 64 it cuts
+    # none, so only the size rule keeps the sizes apart
+    for rows in (8, 64):
+        monkeypatch.setattr(scoring, "SCORE_POOL_ROWS", rows)
+        chunks = list(scoring._chunks(trials))
+        assert sorted(i for c in chunks for i in c) == list(range(len(trials)))
+        widths = [len(trials[i].enroll_ids) for c in chunks for i in c]
+        assert widths == sorted(widths)
+        for c in chunks:
+            assert len(c) <= 3
+            sizes = {len(trials[i].enroll_ids) for i in c}
+            assert len(sizes) == 1  # a pass holds sets of one size, so none is padded
+            sets = {(trials[i].claimed_speaker, trials[i].enroll_ids) for i in c}
+            # the real rows of the pass; a set wider than the limit gets a pass of its own
+            assert len(sets) == 1 or sum(len(ids) for _, ids in sets) <= rows
 
 
 def test_unknown_scorer_rejected(setup):
