@@ -276,19 +276,10 @@ def tanh(a: Tensor) -> Tensor:
     return _op(y, (a, lambda g: g * (1.0 - y * y)))
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # split on sign so exp never overflows; stable for |x| well past 700
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function 1 / (1 + exp(-x))."""
-    y = _stable_sigmoid(a.value)
+    e = np.exp(-np.abs(a.value))  # in (0, 1], so nothing overflows at any |x|
+    y = np.where(a.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return _op(y, (a, lambda g: g * y * (1.0 - y)))
 
 
@@ -351,7 +342,7 @@ def norm(a: Tensor) -> Tensor:
     """Euclidean norm of each row, over the last axis. A zero row is rejected."""
     av = a.value
     n = np.sqrt(np.einsum("...i,...i->...", av, av))
-    if not np.all(n > 0.0):
+    if np.any(n == 0.0):  # a NaN row passes, for the caller's finiteness check
         raise ValueError("norm of a zero row is not differentiable")
     return _op(n, (a, lambda g: (g / n)[..., None] * av))
 

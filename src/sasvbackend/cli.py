@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 from pathlib import Path
 
@@ -67,10 +68,19 @@ def _flag(field: dataclasses.Field) -> str:
     return _FLAGS.get(field.name, field.name.replace("_", "-"))
 
 
+def finite_float(text: str) -> float:
+    """float(text), whose ValueError names the text, rejecting NaN and infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _add_config_options(parser: argparse.ArgumentParser, config_cls) -> None:
     """One option per field of config_cls, defaulting to the field's default."""
     for field in dataclasses.fields(config_cls):
-        parser.add_argument("--" + _flag(field), type=type(field.default),
+        kind = type(field.default)
+        parser.add_argument("--" + _flag(field), type=finite_float if kind is float else kind,
                             default=field.default, choices=_CHOICES.get(field.name),
                             help=f"{config_cls.__name__}.{field.name} (default %(default)s)")
 
@@ -185,6 +195,7 @@ def _copy_of(embeddings: dict, ids) -> dict:
 
 
 def cmd_train(args) -> int:
+    """Train on the manifest's utterances; train() lays out the run directory --out."""
     manifest = dio.load_manifest(args.manifest)
     if not manifest.utterances:
         raise dio.DataError(f"{args.manifest}: the manifest lists no utterances")
@@ -201,12 +212,10 @@ def cmd_train(args) -> int:
                       _copy_of(cm_map, tests))
     del asv_map, cm_map  # the pool and the dev bundle hold their own copies
     config = _config_from_args(TrainConfig, args)
-    out = Path(args.out)
-    result = train(pool, config, checkpoint_dir=out, log_path=out / "train.log",
-                   dev_bundle=dev_bundle)
+    result = train(pool, config, args.out, dev_bundle=dev_bundle)
     last = result.epoch_logs[-1]
     print(f"trained {config.epochs} epochs, final mean selected loss "
-          f"{last.mean_selected_loss:.6f}, checkpoints in {out}")
+          f"{last.mean_selected_loss:.6f}, checkpoints in {args.out}")
     return EXIT_OK
 
 

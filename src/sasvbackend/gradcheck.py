@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .backend import BackendParams
-from .sampling import TrainingPool, draw_batch, expand_pairs
+from .sampling import TrainingPool, check_layout, draw_batch, expand_pairs
 from .training import TrainConfig, batch_loss
 
 FD_STEP = 1e-5
@@ -61,11 +61,12 @@ def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,
 
     The loss is the mean BCE over every pair of the batch; hard selection
     is disabled by setting the negative budget above the batch size.
-    Raises ValueError naming a dimension below 1.
+    Raises ValueError naming a dimension below 1, or check_layout's errors.
     """
     for name, dim in (("d_a", d_a), ("d_c", d_c)):
         if dim < 1:
             raise ValueError(f"{name} must be at least 1, got {dim}")
+    check_layout(speakers, utterances)
     rng = np.random.default_rng(seed)
     pool = _random_pool(rng, speakers, utterances // 2 + 1, d_a, d_c)
     config = TrainConfig(

@@ -147,11 +147,10 @@ class PairBatch(TrialBatch):
                             bool(self.positive[i]))
 
 
-def eligible_speakers(pool: TrainingPool, m: int, k: int) -> np.ndarray:
-    """The speakers (indices in sorted id order) with k/2 bona-fide and k/2
-    spoofed utterances; draws no random numbers. An odd or non-positive k or
+def check_layout(m: int, k: int) -> None:
+    """Reject a batch layout no pool can supply: an odd or non-positive k or
     m < 2 raises ValueError; k = 2 (holding out a block's one bona-fide slot
-    empties it) or fewer than m such speakers raise PoolExhaustedError."""
+    empties it) raises PoolExhaustedError."""
     if k <= 0 or k % 2 != 0:
         raise ValueError(f"k must be positive and even, got {k}")
     if m < 2:
@@ -159,13 +158,22 @@ def eligible_speakers(pool: TrainingPool, m: int, k: int) -> np.ndarray:
     if k == 2:
         raise PoolExhaustedError("k=2 leaves one bona-fide entry per speaker, and excluding "
                                  "it empties the enrollment; k must be at least 4")
+
+
+def eligible_speakers(pool: TrainingPool, m: int, k: int) -> np.ndarray:
+    """The speakers (indices in sorted id order) with k/2 bona-fide and k/2
+    spoofed utterances; draws no random numbers. Raises check_layout's errors;
+    fewer than m such speakers raise PoolExhaustedError counting the speakers
+    short of each kind."""
+    check_layout(m, k)
     half = k // 2
     eligible = np.flatnonzero((pool.n_bona >= half) & (pool.n_spoof >= half))
     if len(eligible) < m:
         raise PoolExhaustedError(
             f"need {m} speakers with >= {half} bona-fide and >= {half} spoofed "
             f"utterances, only {len(eligible)} qualify "
-            f"({np.count_nonzero(pool.n_bona < half)} speakers lack bona-fide utterances)"
+            f"({np.count_nonzero(pool.n_bona < half)} speakers lack bona-fide and "
+            f"{np.count_nonzero(pool.n_spoof < half)} lack spoofed utterances)"
         )
     return eligible
 

@@ -166,15 +166,15 @@ def batch_loss(params: BackendParams, pairs: PairBatch,
     return ad.affine(ad.row_dot(losses, Tensor(weights)), 1.0 / len(selected)), selected
 
 
-def train(pool: TrainingPool, config: TrainConfig, checkpoint_dir=None, log_path=None,
-          dev_bundle=None) -> TrainResult:
+def train(pool: TrainingPool, config: TrainConfig, out_dir, dev_bundle=None) -> TrainResult:
     """Run the full optimization loop over a training pool; the
     embedding dimensions are those of its matrices.
 
-    dev_bundle, when given, is (trials, asv_map, cm_map); the dev SV-, SPF-
-    and SASV-EER of the fused scorer are then logged per epoch. Writes one
-    checkpoint per epoch plus final.ckpt when checkpoint_dir is set; a
-    batch layout the pool cannot supply raises before anything is written.
+    Writes the run directory out_dir: train.log (one EpochLog line per
+    epoch), epoch_NNN.ckpt after each epoch and final.ckpt. dev_bundle,
+    when given, is (trials, asv_map, cm_map); the dev SV-, SPF- and
+    SASV-EER of the fused scorer are then logged per epoch. A batch layout
+    the pool cannot supply raises before anything is written.
     """
     d_a, d_c = pool.asv.shape[1], pool.cm.shape[1]
     m = config.speakers_per_batch
@@ -191,13 +191,10 @@ def train(pool: TrainingPool, config: TrainConfig, checkpoint_dir=None, log_path
     )
     batches_per_epoch = max(1, math.ceil(len(pool) / (m * k)))
 
-    if checkpoint_dir is not None:
-        checkpoint_dir = Path(checkpoint_dir)
-        checkpoint_dir.mkdir(parents=True, exist_ok=True)
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
-
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = TrainResult(params=params)
-    try:
+    with open(out_dir / "train.log", "w", encoding="utf-8") as log_file:
         for epoch in range(config.epochs):
             state.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** epoch
             epoch_losses = []
@@ -222,15 +219,8 @@ def train(pool: TrainingPool, config: TrainConfig, checkpoint_dir=None, log_path
                 dev_eers = (report.sv_eer, report.spf_eer, report.sasv_eer)
             log = EpochLog(epoch + 1, state.learning_rate, mean_loss, *dev_eers)
             result.epoch_logs.append(log)
-            if log_file:
-                log_file.write(log.line() + "\n")
-                log_file.flush()
-            if checkpoint_dir is not None:
-                params.save(checkpoint_dir / f"epoch_{epoch + 1:03d}.ckpt")
-
-        if checkpoint_dir is not None:
-            params.save(checkpoint_dir / "final.ckpt")
-    finally:
-        if log_file:
-            log_file.close()
+            log_file.write(log.line() + "\n")
+            log_file.flush()
+            params.save(out_dir / f"epoch_{epoch + 1:03d}.ckpt")
+    params.save(out_dir / "final.ckpt")
     return result

@@ -138,10 +138,11 @@ def draw_batch_by_records(pool, m: int, k: int, rng: np.random.Generator):
     )
     if len(eligible) < m:
         short_bona = sum(1 for _, (b, _s) in by_speaker.items() if len(b) < half)
+        short_spoof = sum(1 for _, (_b, s) in by_speaker.items() if len(s) < half)
         raise PoolExhaustedError(
             f"need {m} speakers with >= {half} bona-fide and >= {half} spoofed "
             f"utterances, only {len(eligible)} qualify "
-            f"({short_bona} speakers lack bona-fide utterances)"
+            f"({short_bona} speakers lack bona-fide and {short_spoof} lack spoofed utterances)"
         )
 
     chosen = rng.choice(len(eligible), size=m, replace=False)

@@ -3,16 +3,22 @@
 import contextlib
 import dataclasses
 import io
+import re
 import tempfile
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from test_gradcheck import UPSTREAM_OF_TANH, tanh_with_backward_scaled
+
+from sasvbackend import autodiff as ad
 from sasvbackend import cli
 from sasvbackend import data as dio
+from sasvbackend import training
 from sasvbackend.backend import BackendParams, ZeroNormError
 from sasvbackend.training import EpochLog, TrainConfig, TrainResult
 
@@ -106,7 +112,7 @@ class TestTrain:
             loaded.append(weakref.ref(base))
             return embeddings
 
-        def stub_train(pool, config, checkpoint_dir=None, log_path=None, dev_bundle=None):
+        def stub_train(pool, config, out_dir, dev_bundle=None):
             seen["alive"] = [ref() is not None for ref in loaded]
             seen["bundle"] = dev_bundle
             return TrainResult(pool, [EpochLog(1, config.learning_rate, 0.5)])
@@ -183,6 +189,19 @@ class TestTrain:
         ]) == code
         assert message in capsys.readouterr().err
         assert not out.exists()  # no directory, no empty train.log
+
+    def test_diverged_attention_run_exits_3(self, corpus, tmp_path, capsys, monkeypatch):
+        step = training.sgd_step
+
+        def poisoned(params, *args, **kwargs):
+            step(params, *args, **kwargs)
+            params.Wq.value[0, 0] = np.nan  # every pooled vector turns NaN
+        monkeypatch.setattr(training, "sgd_step", poisoned)
+        assert cli.main([
+            "train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+            "--out", str(tmp_path / "run"), "--seed", "1", *TRAIN_SMALL,
+        ]) == 3
+        assert "error: non-finite loss epoch=1 batch=2\n" in capsys.readouterr().err
 
     def test_pool_exhausted_exits_3(self, corpus, tmp_path, capsys):
         code = cli.main([
@@ -536,6 +555,28 @@ class TestGradcheck:
         assert {"Wq", "Wk", "Wv", "Wf", "bf", "vf", "a", "b",
                 "w_cm", "b_cm", "w1", "w2", "v"} <= groups
 
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--speakers", "0"], 2, "m must be at least 2, got 0"),
+        (["--speakers", "-1"], 2, "m must be at least 2, got -1"),
+        (["--utterances", "-2"], 2, "k must be positive and even, got -2"),
+        (["--utterances", "0"], 2, "k must be positive and even, got 0"),
+        (["--utterances", "2"], 3, "k must be at least 4"),
+    ], ids=["speakers-0", "speakers-negative", "utterances-negative", "utterances-0",
+            "utterances-2"])
+    def test_bad_layout_exits_like_train(self, capsys, flags, code, message):
+        assert cli.main(["gradcheck", *flags]) == code
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error: ") and message in out.err
+
+    def test_failed_check_exits_6_naming_the_worst_group(self, monkeypatch, capsys):
+        monkeypatch.setattr(ad, "tanh", tanh_with_backward_scaled(-1.0))
+        assert cli.main(["gradcheck", "--seed", "0"]) == 6
+        out = capsys.readouterr()
+        assert "ok:" not in out.out
+        name, err, limit = re.fullmatch(r"FAILED: (\w+) relative error (\S+) exceeds (\S+)\n",
+                                        out.err).groups()
+        assert name in UPSTREAM_OF_TANH and float(err) > 1e-4 and limit == "1e-04"
+
 
 class TestTrainDefaults:
     def test_defaults_match_corpus_scale_recipe(self):
@@ -661,13 +702,33 @@ class TestConfigFile:
         ("train-speakers=3\nseed=abc\n", ":2: seed: invalid literal"),
         ("asv-dim=8\nspoof-fidelity=high\n", ":2: spoof_fidelity: could not convert"),
         ("seed=1\xff\n", ": 'utf-8' codec can't decode"),
-    ], ids=["int", "float", "encoding"])
+        ("asv-noise=0.1\ncm-separation=-inf\n", ":2: cm_separation: '-inf' is not a finite"),
+    ], ids=["int", "float", "encoding", "non-finite"])
     def test_bad_value_names_path_and_line(self, tmp_path, capsys, text, where):
         cfg = tmp_path / "synth.cfg"
         cfg.write_bytes(text.encode("latin-1"))
         code = cli.main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"{cfg}{where}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--asv-noise", "nan"),
+        ("synth", "--cm-separation", "inf"),
+        ("train", "--learning-rate", "nan"),
+        ("train", "--learning-rate", "inf"),
+        ("train", "--momentum", "nan"),
+        ("train", "--weight-decay", "NaN"),
+        ("train", "--lr-decay", "inf"),
+    ])
+    def test_non_finite_flag_exits_2_naming_it(self, tmp_path, capsys, command, flag, value):
+        required = ["--manifest", "m", "--asv-embeddings", "a", "--cm-embeddings", "c"]
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *(required if command == "train" else []),
+                      "--out", str(tmp_path / "x"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid finite_float value: '{value}'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_bad_choice_names_path_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"

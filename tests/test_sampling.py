@@ -85,6 +85,13 @@ class TestDrawBatch:
         with pytest.raises(sm.PoolExhaustedError, match="bona-fide"):
             sm.draw_batch(pool, 3, 4, np.random.default_rng(0))
 
+    def test_pool_exhausted_names_spoofed_deficiency(self):
+        pool = make_pool(3, 4, 1)  # only one spoofed utterance per speaker
+        with pytest.raises(sm.PoolExhaustedError,
+                           match=r"only 0 qualify \(0 speakers lack bona-fide and 3 lack "
+                                 r"spoofed utterances\)$"):
+            sm.eligible_speakers(pool, 2, 4)
+
     def test_too_few_speakers(self):
         pool = make_pool(2, 4, 4)
         with pytest.raises(sm.PoolExhaustedError):

@@ -317,28 +317,28 @@ class TestBatchedForward:
 
 
 class TestTrain:
-    def test_deterministic_trajectory(self):
+    def test_deterministic_trajectory(self, tmp_path):
         records, _ = tiny_dataset()
         config = tiny_config()
-        one = tr.train(records, config)
-        two = tr.train(records, config)
+        one = tr.train(records, config, tmp_path / "one")
+        two = tr.train(records, config, tmp_path / "two")
         assert [l.mean_selected_loss for l in one.epoch_logs] == \
                [l.mean_selected_loss for l in two.epoch_logs]
         for (n, a), (_, b) in zip(one.params.parameters(), two.params.parameters()):
             assert np.array_equal(a.value, b.value), n
 
-    def test_loss_decreases_on_separable_data(self):
+    def test_loss_decreases_on_separable_data(self, tmp_path):
         records, _ = tiny_dataset(cm_separation=8.0)
         config = tiny_config(epochs=6, learning_rate=0.2)
-        result = tr.train(records, config)
+        result = tr.train(records, config, tmp_path)
         first = result.epoch_logs[0].mean_selected_loss
         last = result.epoch_logs[-1].mean_selected_loss
         assert last < first
 
-    def test_learning_rate_schedule_exact(self):
+    def test_learning_rate_schedule_exact(self, tmp_path):
         records, _ = tiny_dataset()
         config = tiny_config(epochs=3)
-        result = tr.train(records, config)
+        result = tr.train(records, config, tmp_path)
         for log in result.epoch_logs:
             expected = config.learning_rate * config.lr_decay_per_epoch ** (log.epoch - 1)
             assert log.learning_rate == expected
@@ -347,12 +347,11 @@ class TestTrain:
         records, ds = tiny_dataset()
         config = tiny_config(epochs=2)
         dev = (ds.trials_dev, ds.asv_embeddings, ds.cm_embeddings)
-        result = tr.train(records, config, checkpoint_dir=tmp_path / "ck",
-                          log_path=tmp_path / "train.log", dev_bundle=dev)
+        result = tr.train(records, config, tmp_path / "ck", dev_bundle=dev)
         assert (tmp_path / "ck" / "epoch_001.ckpt").exists()
         assert (tmp_path / "ck" / "epoch_002.ckpt").exists()
         assert (tmp_path / "ck" / "final.ckpt").exists()
-        lines = (tmp_path / "train.log").read_text().splitlines()
+        lines = (tmp_path / "ck" / "train.log").read_text().splitlines()
         assert len(lines) == 2
         assert len(lines[0].split("\t")) == 6  # epoch lr loss + 3 dev EERs
         final = BackendParams.load(tmp_path / "ck" / "final.ckpt")
@@ -361,27 +360,43 @@ class TestTrain:
 
     def test_log_without_dev_bundle_has_three_fields(self, tmp_path):
         records, _ = tiny_dataset()
-        tr.train(records, tiny_config(), log_path=tmp_path / "t.log")
-        for line in (tmp_path / "t.log").read_text().splitlines():
+        tr.train(records, tiny_config(), tmp_path)
+        for line in (tmp_path / "train.log").read_text().splitlines():
             assert len(line.split("\t")) == 3
 
-    def test_logged_dev_eers_match_standalone_evaluation(self):
+    def test_logged_dev_eers_match_standalone_evaluation(self, tmp_path):
         from sasvbackend.metrics import evaluate
         from sasvbackend.scoring import score_trials
         records, ds = tiny_dataset()
         dev = (ds.trials_dev, ds.asv_embeddings, ds.cm_embeddings)
-        result = tr.train(records, tiny_config(epochs=2), dev_bundle=dev)
+        result = tr.train(records, tiny_config(epochs=2), tmp_path, dev_bundle=dev)
         report = evaluate(score_trials(result.params, *dev, scorer="fused"))
         last = result.epoch_logs[-1]
         assert last.dev_sv_eer == report.sv_eer
         assert last.dev_spf_eer == report.spf_eer
         assert last.dev_sasv_eer == report.sasv_eer
 
-    def test_pool_too_small_raises(self):
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_nan_weight_ends_in_the_loss_check(self, tmp_path, monkeypatch, pooling):
+        """Weights gone NaN after the first step (Wq feeds the attention
+        pooling, a the ASV score of both modes) end in the step's loss check,
+        which names the step; norm, which rejects only zero rows, passes the
+        NaN pooled vectors on."""
+        step = tr.sgd_step
+
+        def poisoned(params, *args, **kwargs):
+            step(params, *args, **kwargs)
+            params.Wq.value[0, 0] = params.a.value[0, 0] = np.nan
+        monkeypatch.setattr(tr, "sgd_step", poisoned)
+        records, _ = tiny_dataset()
+        with pytest.raises(tr.TrainingDivergedError, match="non-finite loss epoch=1 batch=2$"):
+            tr.train(records, tiny_config(pooling=pooling), tmp_path)
+
+    def test_pool_too_small_raises(self, tmp_path):
         records, _ = tiny_dataset()
         config = tiny_config(speakers_per_batch=50)
         with pytest.raises(Exception, match="speakers"):
-            tr.train(records, config)
+            tr.train(records, config, tmp_path / "run")
 
 
 class TestConfigValidation:
