@@ -86,35 +86,31 @@ class Embedding:
 
 @dataclass(frozen=True)
 class EnrollmentStack:
-    """G enrollment groups of K rows of one embedding matrix, each under R
-    masks: G * R enrollment sets.
+    """G enrollment groups of K embeddings each, each group under R masks:
+    G * R enrollment sets.
 
-    embeddings is (N, d_a) and members (G, K) holds each group's row
-    indices. masked (G, R, K) is True where set g * R + r leaves an entry
-    of group g out: a spoofed entry, an entry held out for testing, or the
-    padding of a training group shorter than K (scoring pads nothing).
-    Masked entries never influence that set's pooled vector or gradients.
+    embeddings is (G, K, d_a). masked (G, R, K) is True where set g * R + r
+    leaves an entry of group g out: a spoofed entry, an entry held out for
+    testing, or padding. Masked entries never influence that set's pooled
+    vector or gradients.
     """
 
     embeddings: np.ndarray
-    members: np.ndarray
     masked: np.ndarray
 
     def __post_init__(self):
-        if self.masked.shape[::2] != self.members.shape:
+        if self.masked.shape[::2] != self.embeddings.shape[:2]:
             raise ad.ShapeError(f"enrollment mask {self.masked.shape} does not fit "
-                                f"members {self.members.shape}")
+                                f"embeddings {self.embeddings.shape}")
         degenerate = np.flatnonzero(self.masked.all(axis=-1))
         if degenerate.size:
             raise DegenerateEnrollmentError(
                 f"enrollment set {degenerate[0]} has no bona-fide entry")
 
     def rows(self) -> np.ndarray:
-        """(G, K, d_a) embeddings of each group, zero where every set of the
-        group masks the entry."""
-        E = np.take(self.embeddings, self.members, axis=0)
-        E[self.masked.all(axis=1)] = 0.0
-        return E
+        """A copy of embeddings, zero where every set of the group masks the
+        entry."""
+        return np.where(self.masked.all(axis=1)[..., None], 0.0, self.embeddings)
 
 
 class EnrollmentSet(EnrollmentStack):
@@ -128,14 +124,14 @@ class EnrollmentSet(EnrollmentStack):
         if not values:
             raise EmptyEnrollmentError(f"enrollment for {speaker_id!r} is empty")
         spoofed = ~np.asarray(bonafide_mask, dtype=bool)
-        super().__init__(np.stack(values), np.arange(len(values))[None], spoofed[None, None])
+        super().__init__(np.stack(values)[None], spoofed[None, None])
 
     def __len__(self) -> int:
-        return self.members.shape[1]
+        return self.embeddings.shape[1]
 
     def matrix(self) -> np.ndarray:
         """K x d_a embedding values in enrollment order."""
-        return self.embeddings
+        return self.embeddings[0]
 
     def spoof_mask(self) -> np.ndarray:
         """True where the entry is spoofed, i.e. must be masked out."""

@@ -279,10 +279,14 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("train_speakers", "dev_speakers", "eval_speakers",
-                     "bonafide_per_speaker", "spoof_per_speaker", "d_a", "d_c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("asv_noise", "cm_separation"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, low in (("train_speakers", 1), ("dev_speakers", 1), ("eval_speakers", 1),
+                          ("bonafide_per_speaker", 1), ("spoof_per_speaker", 1), ("d_a", 1),
+                          ("d_c", 1), ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not 0.0 <= self.spoof_speaker_fidelity <= 1.0:
             raise ValueError("spoof_speaker_fidelity must lie in [0, 1]")
 

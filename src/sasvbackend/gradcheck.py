@@ -33,7 +33,7 @@ class GradCheckResult:
     """Max scale-aware finite-difference error per parameter group."""
 
     errors: dict[str, float]
-    tolerance: float = TOLERANCE
+    tolerance = TOLERANCE  # a class attribute, not a field
 
     @property
     def passed(self) -> bool:
@@ -56,24 +56,24 @@ def _random_pool(rng, n_speakers, n_utts_half, d_a, d_c):
 
 def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,
                    speakers: int = 2, utterances: int = 4,
-                   pooling: str = "attention", step: float = FD_STEP) -> GradCheckResult:
+                   pooling: str = "attention") -> GradCheckResult:
     """Compare analytic and finite-difference gradients of one batch loss.
 
     The loss is the mean BCE over every pair of the batch; hard selection
     is disabled by setting the negative budget above the batch size.
-    Raises ValueError naming a dimension below 1, or check_layout's errors.
+    Raises ValueError naming a bad dimension or seed, or check_layout's errors.
     """
     for name, dim in (("d_a", d_a), ("d_c", d_c)):
         if dim < 1:
             raise ValueError(f"{name} must be at least 1, got {dim}")
     check_layout(speakers, utterances)
-    rng = np.random.default_rng(seed)
-    pool = _random_pool(rng, speakers, utterances // 2 + 1, d_a, d_c)
     config = TrainConfig(
         speakers_per_batch=speakers, utterances_per_speaker=utterances,
         hard_negative_top_n=10 * speakers * speakers * utterances,
         pooling=pooling, hidden_dim=h_f, seed=seed,
     )
+    rng = np.random.default_rng(seed)
+    pool = _random_pool(rng, speakers, utterances // 2 + 1, d_a, d_c)
     batch = draw_batch(pool, speakers, utterances, rng)
     pairs = expand_pairs(batch)
 
@@ -95,12 +95,12 @@ def gradient_check(seed: int = 0, d_a: int = 8, d_c: int = 6, h_f: int = 4,
         fd = np.zeros_like(flat)
         for i in range(flat.size):
             original = flat[i]
-            flat[i] = original + step
+            flat[i] = original + FD_STEP
             up = loss_value()
-            flat[i] = original - step
+            flat[i] = original - FD_STEP
             down = loss_value()
             flat[i] = original
-            fd[i] = (up - down) / (2.0 * step)
+            fd[i] = (up - down) / (2.0 * FD_STEP)
         errors[name] = group_error(analytic[name].reshape(-1), fd)
     return GradCheckResult(errors=errors)
 

@@ -92,19 +92,13 @@ class TrainingPool:
 
 @dataclass(frozen=True, eq=False)
 class MiniBatch:
-    """M speakers' blocks of K pool rows each (K/2 bona fide, K/2 spoofed):
-    rows[l, j] is the pool row of utterance j of speaker l."""
+    """M speakers' blocks of K pool rows each: rows[l, j] is the pool row of
+    utterance j of speaker l, and (M, K) = rows.shape. Each block holds K/2
+    bona-fide and K/2 spoofed rows; expand_pairs rejects a hand-built batch
+    that does not."""
 
     pool: TrainingPool
     rows: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.rows.shape[1]
 
     # no package code reads the blocks; the benchmark's untimed reference
     # check and the tests do
@@ -128,9 +122,9 @@ class PairBatch(TrialBatch):
 
     Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
     holds utterance j of speaker l. The enrollment stack has one group per
-    speaker holding its B bona-fide rows (B = K/2 for a drawn batch) under
-    B + 1 sets: set n*(B+1) + j leaves out speaker n's bona-fide entry j
-    for j < B, and set n*(B+1) + B keeps them all. Pair i = (l*K + m)*M + n
+    speaker holding its B = K/2 bona-fide rows, in slot order, under B + 1
+    sets: set n*(B+1) + j leaves out speaker n's bona-fide entry j for
+    j < B, and set n*(B+1) + B keeps them all. Pair i = (l*K + m)*M + n
     tests row test_row[i] = l*K + m against enrollment set enroll_set[i],
     speaker n's set without slot m; positive[i] is its label.
     """
@@ -200,32 +194,31 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     speaker n's utterances with index m excluded, mirroring the row pattern
     where a test at slot 2 pairs with slots 1, 3, 4 of every speaker.
     Spoofed entries get zero weight, so each speaker's group holds only its
-    bona-fide rows, in slot order, under the sets PairBatch describes; a
-    pair whose slot m is spoofed takes speaker n's full set. A block with
-    fewer bona-fide rows than the widest is padded with entries masked in
-    every set. Pairs are ordered by (l, m, n). test_asv, which is also the
-    enrollment stack's embeddings, test_cm and bonafide are one gather
-    each from the pool's arrays by the batch's row indices.
+    K/2 bona-fide rows, in slot order, under the sets PairBatch describes;
+    a pair whose slot m is spoofed takes speaker n's full set. Pairs are
+    ordered by (l, m, n). test_asv, test_cm and bonafide are one gather
+    each from the pool's arrays by the batch's row indices. A block that
+    does not hold exactly K/2 bona-fide rows, which draw_batch never
+    builds, raises ValueError.
     """
-    m, k = batch.m, batch.k
+    m, k = batch.rows.shape
+    half = k // 2
     rows = batch.rows.reshape(-1)
     asv = np.take(batch.pool.asv, rows, axis=0)
     bonafide = np.take(batch.pool.bonafide, rows)
     block = bonafide.reshape(m, k)
-    count = block.sum(axis=1)
-    width = int(count.max())
-    # each block's bona-fide slots first, in slot order; the rest pads
-    members = np.argsort(~block, axis=1, kind="stable")[:, :width] + k * np.arange(m)[:, None]
-    padding = np.arange(width) >= count[:, None]
-    masked = np.eye(width + 1, width, dtype=bool) | padding[:, None, :]
+    if (block.sum(axis=1) != half).any():
+        raise ValueError(f"every block must hold k/2 = {half} bona-fide rows, got "
+                         f"{block.sum(axis=1).tolist()}")
     # the set each (speaker, slot) pair takes: its bona-fide rank, or the full set
-    held_out = np.where(block, np.cumsum(block, axis=1) - 1, width)
-    set_of = held_out + (width + 1) * np.arange(m)[:, None]
+    held_out = np.where(block, np.cumsum(block, axis=1) - 1, half)
+    set_of = held_out + (half + 1) * np.arange(m)[:, None]
+    masked = np.broadcast_to(np.eye(half + 1, half, dtype=bool), (m, half + 1, half))
     test_row, enroll_speaker = np.divmod(np.arange(m * k * m), m)
     return PairBatch(
         test_asv=asv,
         test_cm=np.take(batch.pool.cm, rows, axis=0),
-        enroll=EnrollmentStack(asv, members, masked),
+        enroll=EnrollmentStack(asv[bonafide].reshape(m, half, -1), masked),
         test_row=test_row,
         enroll_set=set_of[enroll_speaker, test_row % k],
         bonafide=bonafide,

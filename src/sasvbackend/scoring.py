@@ -47,15 +47,13 @@ def _index(keys) -> tuple[dict, np.ndarray]:
 def _trial_batch(trials: TrialList, asv_map, cm_map) -> TrialBatch:
     """The trials, whose enrollment sets have one size, as one forward-pass
     batch: each distinct (claimed speaker, enrollment ids) set is an
-    enrollment group of its own (R = 1) and each distinct test utterance
-    appears once."""
+    enrollment group of its own (R = 1), its rows in enrollment order, in a
+    (sets, size, d_a) array; each distinct test utterance appears once."""
     claims, enroll_set = _index((t.claimed_speaker, t.enroll_ids) for t in trials)
     tests, test_row = _index(t.test_id for t in trials)
-    sets, size = len(claims), len(trials[0].enroll_ids)
+    enroll = np.array([[asv_map[e] for e in ids] for _, ids in claims])
     return TrialBatch(np.array([asv_map[t] for t in tests]), np.array([cm_map[t] for t in tests]),
-                      EnrollmentStack(np.array([asv_map[e] for _, ids in claims for e in ids]),
-                                      np.arange(sets * size).reshape(sets, size),
-                                      np.zeros((sets, 1, size), dtype=bool)),
+                      EnrollmentStack(enroll, np.zeros((len(claims), 1, enroll.shape[1]), bool)),
                       test_row, enroll_set)
 
 

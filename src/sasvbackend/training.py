@@ -65,14 +65,16 @@ class TrainConfig:
     hard_selection: str = "negatives_only"
 
     def __post_init__(self):
+        for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_per_epoch"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("learning_rate", "lr_decay_per_epoch"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.hard_negative_top_n < 1:
-            raise ValueError("hard_negative_top_n must be at least 1")
-        for name in ("epochs", "hidden_dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name, low in (("hard_negative_top_n", 1), ("epochs", 1), ("hidden_dim", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
         if self.hard_selection not in HARD_SELECTION_MODES:

@@ -13,7 +13,7 @@ from sasvbackend import backend as bk
 from sasvbackend import training as tr
 from sasvbackend.data import (DimensionMismatchError, DuplicateIdError, MalformedLineError,
                               _read_lines)
-from sasvbackend.sampling import MiniBatch, PoolExhaustedError, SpeakerBlock, TrainingPool
+from sasvbackend.sampling import PoolExhaustedError, SpeakerBlock
 
 
 def brute_force_eer(positives, negatives):
@@ -47,10 +47,10 @@ def brute_force_eer(positives, negatives):
 
 def enrolled_vectors(pairs, i):
     """The ASV vectors that pair i's enrollment set keeps unmasked, in
-    member order, read from the PairBatch's stack."""
+    group order, read from the PairBatch's stack."""
     stack = pairs.enroll
     group, r = divmod(int(pairs.enroll_set[i]), stack.masked.shape[1])
-    return stack.embeddings[stack.members[group][~stack.masked[group, r]]]
+    return stack.embeddings[group][~stack.masked[group, r]]
 
 
 def per_pair_batch_loss(params, pairs, config, batch):
@@ -66,7 +66,7 @@ def per_pair_batch_loss(params, pairs, config, batch):
     and the sum is scaled by 1/len(selected). Returns (loss, selected)
     like training.batch_loss.
     """
-    m, k = batch.m, batch.k
+    m, k = batch.rows.shape
     pooled = {}
     losses = []
     labels = []
@@ -95,19 +95,6 @@ def per_pair_batch_loss(params, pairs, config, batch):
     for i in selected[1:]:
         total = ad.add(total, losses[i])
     return ad.affine(total, 1.0 / len(selected)), selected
-
-
-def uneven_batch(rng, bona_counts, k=6, d_a=6, d_c=4):
-    """A hand-built MiniBatch of K slots per block whose blocks hold
-    bona_counts[l] bona-fide rows (the rest spoofed), each block in a
-    random slot order; draw_batch gives every block K/2. Every speaker
-    has K bona-fide and K spoofed utterances in the pool."""
-    rows = [(f"s{s}", f"s{s}-{j}", j < k) for s in range(len(bona_counts)) for j in range(2 * k)]
-    draws = rng.standard_normal((len(rows), d_a + d_c))  # ASV, then CM, per utterance
-    pool = TrainingPool(*zip(*rows), draws[:, :d_a], draws[:, d_a:])
-    blocks = [rng.permutation(np.r_[np.arange(n), k + np.arange(k - n)]) + 2 * k * s
-              for s, n in enumerate(bona_counts)]
-    return MiniBatch(pool, np.array(blocks))
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:
@@ -172,9 +159,9 @@ def pooled_per_set(params, stack, pooling="attention"):
     is set r of group g. Calls no package pooling code."""
     P = {name: t.value for name, t in params.parameters()}
     out = []
-    for members, masks in zip(stack.members, stack.masked):
+    for group, masks in zip(stack.embeddings, stack.masked):
         for mask in masks:
-            E = stack.embeddings[members[~mask]]
+            E = group[~mask]
             if pooling == "average":
                 out.append(E.mean(axis=0))
                 continue

@@ -43,13 +43,13 @@ class TestEnrollmentSet:
         rng = np.random.default_rng(len(bonafide))
         vectors = rng.standard_normal((len(bonafide), 5))
         enroll = enrollment(vectors, bonafide)
-        stack = bk.EnrollmentStack(vectors, np.arange(len(bonafide))[None],
-                                   ~np.array(bonafide)[None, None])
+        stack = bk.EnrollmentStack(vectors[None], ~np.array(bonafide)[None, None])
         assert isinstance(enroll, bk.EnrollmentStack) and len(enroll) == len(bonafide)
-        for name in ("embeddings", "members", "masked"):
+        for name in ("embeddings", "masked"):
             got, want = getattr(enroll, name), getattr(stack, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
-        assert enroll.matrix() is enroll.embeddings
+        assert np.shares_memory(enroll.matrix(), enroll.embeddings)
+        assert np.array_equal(enroll.matrix(), vectors)
         assert np.array_equal(enroll.spoof_mask(), ~np.array(bonafide))
         params = make_params(d_a=5, seed=2)
         for pool in (lambda s: bk.pool_enrollments(params, s), bk.average_pool):
@@ -63,6 +63,11 @@ class TestEnrollmentSet:
     def test_bad_set_fails_at_construction(self, vectors, bonafide, error, message):
         with pytest.raises(error, match=message):
             enrollment(vectors, bonafide)
+
+    def test_stack_embeddings_must_be_grouped(self):
+        with pytest.raises(ad.ShapeError, match=r"enrollment mask \(1, 1, 3\) does not fit "
+                                                r"embeddings \(3, 5\)"):
+            bk.EnrollmentStack(np.ones((3, 5)), np.zeros((1, 1, 3), dtype=bool))
 
     def test_zero_asv_embedding_rejected(self):
         with pytest.raises(bk.ZeroNormError):
@@ -293,8 +298,7 @@ def random_trial(rng, d_a=4, d_c=3, k=3):
 
 def forward_one(params, q_asv, q_cm, enroll, pooling="attention"):
     """forward_batch on a batch holding the single trial (q, enroll)."""
-    stack = bk.EnrollmentStack(enroll.matrix(), np.arange(len(enroll))[None],
-                               enroll.spoof_mask()[None, None])
+    stack = bk.EnrollmentStack(enroll.matrix()[None], enroll.spoof_mask()[None, None])
     batch = bk.TrialBatch(q_asv.values[None], q_cm.values[None], stack,
                           np.array([0]), np.array([0]))
     return bk.forward_batch(params, batch, pooling)
@@ -380,21 +384,17 @@ class TestAsvHeadPerDistinctRow:
 def padded_stack(rng, lengths, d_a, spoofed=()):
     """One group per set (R = 1), each padded to the longest set with masked
     entries; spoofed holds (set, slot) entries masked as spoofed."""
-    members = np.zeros((len(lengths), max(lengths)), dtype=np.intp)
-    masked = np.ones((len(lengths), 1, max(lengths)), dtype=bool)
-    for s, length in enumerate(lengths):
-        members[s, :length] = np.arange(length) + sum(lengths[:s])
-        masked[s, 0, :length] = False
+    masked = np.arange(max(lengths)) >= np.array(lengths)[:, None]
     for s, slot in spoofed:
-        masked[s, 0, slot] = True
-    return bk.EnrollmentStack(rng.standard_normal((sum(lengths), d_a)), members, masked)
+        masked[s, slot] = True
+    return bk.EnrollmentStack(rng.standard_normal((len(lengths), max(lengths), d_a)),
+                              masked[:, None])
 
 
 def leave_one_out_stack(rng, m, k, d_a):
     """One group per speaker whose K sets each leave one slot out, no spoofs."""
     masked = np.broadcast_to(np.eye(k, dtype=bool), (m, k, k))
-    return bk.EnrollmentStack(rng.standard_normal((m * k, d_a)),
-                              np.arange(m * k).reshape(m, k), masked)
+    return bk.EnrollmentStack(rng.standard_normal((m, k, d_a)), masked)
 
 
 class TestGroupPooling:
@@ -411,8 +411,10 @@ class TestGroupPooling:
         rng = np.random.default_rng(len(case))
         stack = self.CASES[case](rng)
         params = make_params(d_a=6, d_c=5, h_f=3, seed=len(case))
+        embeddings = stack.embeddings.copy()
         got = (bk.pool_enrollments(params, stack) if pooling == "attention"
                else bk.average_pool(stack)).value
+        assert np.array_equal(stack.embeddings, embeddings)  # rows() zeroes a copy
         want = pooled_per_set(params, stack, pooling)
         assert got.shape == (stack.masked.shape[0] * stack.masked.shape[1], 6)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
@@ -428,11 +430,13 @@ class TestGroupPooling:
         params = make_params(d_a=6, d_c=5, h_f=3, seed=3)
 
         def pooled(embeddings):
-            stack = bk.EnrollmentStack(embeddings, pairs.enroll.members, pairs.enroll.masked)
+            stack = bk.EnrollmentStack(embeddings, pairs.enroll.masked)
             return (bk.pool_enrollments(params, stack) if pooling == "attention"
                     else bk.average_pool(stack)).value
+        # slot j, speaker n's first bona-fide slot, is entry 0 of its group
+        assert np.array_equal(pairs.enroll.embeddings[n, 0], pairs.test_asv[n * k + j])
         changed = pairs.enroll.embeddings.copy()
-        changed[n * k + j] = np.random.default_rng(0).standard_normal(6) * 100.0
+        changed[n, 0] = np.random.default_rng(0).standard_normal(6) * 100.0
         before, after = pooled(pairs.enroll.embeddings), pooled(changed)
         assert np.array_equal(before[set_for[j]], after[set_for[j]])
         # the row does reach the speaker's sets that keep it

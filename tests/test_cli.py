@@ -730,6 +730,20 @@ class TestConfigFile:
             in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("command, value", [("synth", "-1"), ("train", "-3"),
+                                                ("gradcheck", "-2")])
+    def test_negative_seed_exits_2_naming_it(self, corpus, tmp_path, capsys, command, value):
+        argv = [command, "--seed", value]
+        if command == "train":
+            argv += ["--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+                     *TRAIN_SMALL]
+        if command != "gradcheck":
+            argv += ["--out", str(tmp_path / "x")]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: seed must be at least 0, got {value}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_bad_choice_names_path_and_line(self, tmp_path, capsys):
         cfg = tmp_path / "train.cfg"
         cfg.write_text("epochs=1\npooling=max\n")

@@ -1,5 +1,6 @@
 """Loader/writer round-trips, malformed-file rejection, generator geometry."""
 
+import math
 import re
 
 import numpy as np
@@ -288,6 +289,24 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return dio.SynthConfig(**defaults)
+
+
+class TestSynthConfig:
+    @pytest.mark.parametrize("name", ["asv_noise", "cm_separation"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            small_config(**{name: value})
+
+    @pytest.mark.parametrize("name, value, low", [("seed", -1, 0), ("train_speakers", 0, 1),
+                                                  ("d_c", -2, 1)])
+    def test_value_below_its_bound_is_named(self, name, value, low):
+        with pytest.raises(ValueError, match=f"^{name} must be at least {low}, got {value}$"):
+            small_config(**{name: value})
+
+    def test_fidelity_nan_is_rejected(self):
+        with pytest.raises(ValueError, match="spoof_speaker_fidelity must lie in"):
+            small_config(spoof_speaker_fidelity=math.nan)
 
 
 class TestGenerateSynthetic:

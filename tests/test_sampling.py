@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import draw_batch_by_records, enrolled_vectors, uneven_batch
+from oracles import draw_batch_by_records, enrolled_vectors
 
 from sasvbackend import autodiff as ad
 from sasvbackend import sampling as sm
 from sasvbackend import training as tr
-from sasvbackend.backend import BackendParams, DegenerateEnrollmentError, ZeroNormError
+from sasvbackend.backend import BackendParams, ZeroNormError
 
 
 def make_pool(n_speakers, bona_per_speaker, spoof_per_speaker, d_a=4, d_c=3, seed=0):
@@ -32,10 +32,11 @@ def pair_records(batch, pairs, i):
     utterances = [u for block in batch.speakers for u in block.utterances]
     for row, u in enumerate(utterances):
         assert np.array_equal(pairs.test_asv[row], u.asv_embedding.values)
-    test_row, n = divmod(i, batch.m)
+    m, k = batch.rows.shape
+    test_row, n = divmod(i, m)
     assert pairs.test_row[i] == test_row
     block = batch.speakers[n]
-    enrolled = [u for j, u in enumerate(block.utterances) if j != test_row % batch.k]
+    enrolled = [u for j, u in enumerate(block.utterances) if j != test_row % k]
     kept = enrolled_vectors(pairs, i)
     assert np.array_equal(kept, [u.asv_embedding.values for u in enrolled if u.bonafide])
     masked = np.array([not (kept == u.asv_embedding.values).all(axis=1).any()
@@ -47,7 +48,7 @@ class TestDrawBatch:
     def test_table_layout_m3_k4(self):
         pool = make_pool(3, 2, 2)
         batch = sm.draw_batch(pool, 3, 4, np.random.default_rng(0))
-        assert batch.m == 3 and batch.k == 4
+        assert batch.rows.shape == (3, 4)
         for block in batch.speakers:
             bona = [u.bonafide for u in block.utterances]
             assert sum(bona) == 2
@@ -134,9 +135,10 @@ class TestDrawBatch:
             assert sum(u.bonafide for u in block.utterances) == half_k
         pairs = sm.expand_pairs(batch)
         stack = pairs.enroll
-        # (G, R, K): entry s of set r is a bona-fide row the set keeps
-        usable = ~stack.masked & pairs.bonafide[stack.members][:, None, :]
-        assert usable.any(axis=-1).all()
+        # (G, R, K/2): the groups hold the bona-fide rows only, so entry s
+        # of set r is a bona-fide row the set keeps where it is unmasked
+        assert np.array_equal(stack.embeddings.reshape(-1, 4), pairs.test_asv[pairs.bonafide])
+        assert (~stack.masked).any(axis=-1).all()
 
 
 def uneven_pool(counts, seed, d_a=4, d_c=3):
@@ -377,13 +379,24 @@ class TestExpandPairs:
         pairs = sm.expand_pairs(sm.draw_batch(pool, m, k, np.random.default_rng(k)))
         stack = pairs.enroll
         assert stack.masked.shape == (m, k // 2 + 1, k // 2)
-        assert pairs.bonafide[stack.members].all()
+        assert np.array_equal(stack.embeddings,
+                              pairs.test_asv[pairs.bonafide].reshape(m, k // 2, -1))
         for masks in stack.masked:
             assert len({mask.tobytes() for mask in masks}) == len(masks)
 
-    def test_block_with_one_bonafide_row_is_degenerate(self):
-        with pytest.raises(DegenerateEnrollmentError):
-            sm.expand_pairs(uneven_batch(np.random.default_rng(0), (4, 1, 4)))
+    @pytest.mark.parametrize("bona_counts", [(4, 1, 4), (4, 2, 4), (4, 2, 3)],
+                             ids=["4-1-4", "4-2-4", "4-2-3"])
+    def test_uneven_blocks_are_rejected(self, bona_counts):
+        """A hand-built batch whose blocks do not each hold K/2 = 3
+        bona-fide rows; (4, 2, 3) totals M * K/2 rows, as an even batch
+        does, so a bare reshape would mix speakers' rows."""
+        k = 6
+        pool = make_pool(len(bona_counts), k, k)
+        blocks = [np.r_[np.arange(n), k + np.arange(k - n)] + 2 * k * s
+                  for s, n in enumerate(bona_counts)]
+        with pytest.raises(ValueError, match=r"^every block must hold k/2 = 3 bona-fide rows, "
+                                             rf"got \[{', '.join(map(str, bona_counts))}\]$"):
+            sm.expand_pairs(sm.MiniBatch(pool, np.array(blocks)))
 
     @given(m=st.integers(2, 5), half_k=st.integers(1, 3), seed=st.integers(0, 1000))
     @settings(max_examples=40, deadline=None)

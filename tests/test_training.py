@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import per_pair_batch_loss, uneven_batch
+from oracles import per_pair_batch_loss
 
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
@@ -227,11 +227,10 @@ def loss_and_grads(loss_fn, pairs, config, seed):
 def k_slot_layout(pairs, m, k):
     """The pairs under the K-slot enrollment layout: group n holds all K
     rows of speaker n, and set n*K + j masks its spoofed slots and slot j."""
-    members = np.arange(m * k).reshape(m, k)
-    masked = ~pairs.bonafide[members][:, None, :] | np.eye(k, dtype=bool)
+    masked = ~pairs.bonafide.reshape(m, 1, k) | np.eye(k, dtype=bool)
     test_row, speaker = np.divmod(np.arange(m * k * m), m)
-    return dataclasses.replace(pairs, enroll=EnrollmentStack(pairs.test_asv, members, masked),
-                               enroll_set=speaker * k + test_row % k)
+    enroll = EnrollmentStack(pairs.test_asv.reshape(m, k, -1), masked)
+    return dataclasses.replace(pairs, enroll=enroll, enroll_set=speaker * k + test_row % k)
 
 
 class TestBatchedForward:
@@ -278,42 +277,33 @@ class TestBatchedForward:
         self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, k),
                          loss_and_grads(tr.batch_loss, k_slot_layout(pairs, m, k), config, k))
 
-    @pytest.mark.parametrize("bona_counts", [(4, 2, 4), (4, 2, 3)])
-    @pytest.mark.parametrize("pooling", ["attention", "average"])
-    def test_uneven_blocks_match_per_pair_reference(self, bona_counts, pooling):
-        """A hand-built batch whose blocks hold different bona-fide counts;
-        (4, 2, 3) totals M * K/2 rows, as an even batch does."""
-        batch = uneven_batch(np.random.default_rng(sum(bona_counts)), bona_counts)
-        pairs = expand_pairs(batch)
-        config = tr.TrainConfig(hard_negative_top_n=20, pooling=pooling, hidden_dim=3,
-                                speakers_per_batch=3, utterances_per_speaker=6)
-        self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, 4), loss_and_grads(
-            functools.partial(per_pair_batch_loss, batch=batch), pairs, config, 4))
-
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_spoofed_enrollment_content_cannot_leak(self, pooling):
         """Replacing every spoofed row of a whole batch's enrollment side
         with random content changes the loss and every gradient by exactly
         0; the test side keeps the real rows. expand_pairs leaves spoofed
-        rows out of its groups, so the K-slot layout, whose groups hold
-        them masked, is checked too."""
+        rows out of its groups, which hold exactly the test side's bona-fide
+        rows, so the swap runs on the K-slot layout, whose groups hold them
+        masked."""
         rng = np.random.default_rng(31)
         drawn = expand_pairs(draw_batch(random_pool(rng, 5, 3), 4, 6, rng))
+        assert np.array_equal(drawn.enroll.embeddings.reshape(-1, 6),
+                              drawn.test_asv[drawn.bonafide])
         config = tr.TrainConfig(hard_negative_top_n=30, pooling=pooling, hidden_dim=3,
                                 speakers_per_batch=4, utterances_per_speaker=6)
-        for pairs in (drawn, k_slot_layout(drawn, 4, 6)):
-            spoofed = ~pairs.bonafide
-            swapped = pairs.enroll.embeddings.copy()
-            swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
-            fake = dataclasses.replace(
-                pairs, enroll=dataclasses.replace(pairs.enroll, embeddings=swapped))
-            assert not np.array_equal(fake.enroll.embeddings, pairs.test_asv)
-            loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, 8)
-            loss2, selected2, grads2 = loss_and_grads(tr.batch_loss, fake, config, 8)
-            assert loss == loss2 and selected == selected2
-            assert len(grads) == 13
-            for name in grads:
-                assert np.array_equal(grads[name], grads2[name]), name
+        pairs = k_slot_layout(drawn, 4, 6)
+        spoofed = ~pairs.bonafide.reshape(4, 6)
+        swapped = pairs.enroll.embeddings.copy()
+        swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
+        fake = dataclasses.replace(
+            pairs, enroll=dataclasses.replace(pairs.enroll, embeddings=swapped))
+        assert not np.array_equal(fake.enroll.embeddings.reshape(-1, 6), pairs.test_asv)
+        loss, selected, grads = loss_and_grads(tr.batch_loss, pairs, config, 8)
+        loss2, selected2, grads2 = loss_and_grads(tr.batch_loss, fake, config, 8)
+        assert loss == loss2 and selected == selected2
+        assert len(grads) == 13
+        for name in grads:
+            assert np.array_equal(grads[name], grads2[name]), name
 
 
 class TestTrain:
@@ -411,3 +401,14 @@ class TestConfigValidation:
     def test_bad_rate(self):
         with pytest.raises(ValueError, match="learning_rate"):
             tr.TrainConfig(learning_rate=0.0)
+
+    @pytest.mark.parametrize("name", ["learning_rate", "momentum", "weight_decay",
+                                      "lr_decay_per_epoch"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_is_named(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            tr.TrainConfig(**{name: value})
+
+    def test_negative_seed_is_named(self):
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            tr.TrainConfig(seed=-1)
