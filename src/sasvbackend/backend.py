@@ -108,9 +108,10 @@ class EnrollmentStack:
                 f"enrollment set {degenerate[0]} has no bona-fide entry")
 
     def rows(self) -> np.ndarray:
-        """A copy of embeddings, zero where every set of the group masks the
-        entry."""
-        return np.where(self.masked.all(axis=1)[..., None], 0.0, self.embeddings)
+        """embeddings, or a copy of it zeroed where every set of the group
+        masks the entry (a spoofed EnrollmentSet entry); never written to."""
+        unused = self.masked.all(axis=1)[..., None]
+        return np.where(unused, 0.0, self.embeddings) if unused.any() else self.embeddings
 
 
 class EnrollmentSet(EnrollmentStack):

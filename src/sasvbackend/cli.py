@@ -29,12 +29,7 @@ from .gradcheck import gradient_check
 from .metrics import EmptyClassError, check_classes, evaluate
 from .sampling import PoolExhaustedError
 from .scoring import SCORERS, score_trials
-from .training import (
-    HARD_SELECTION_MODES,
-    TrainConfig,
-    TrainingDivergedError,
-    train,
-)
+from .training import TrainConfig, TrainingDivergedError, train
 
 EXIT_OK = 0
 EXIT_IO = 2
@@ -61,7 +56,7 @@ _FLAGS = {
     "lr_decay_per_epoch": "lr-decay",
     "hard_negative_top_n": "top-n",
 }
-_CHOICES = {"pooling": POOLING_MODES, "hard_selection": HARD_SELECTION_MODES}
+_CHOICES = {"pooling": POOLING_MODES}
 
 
 def _flag(field: dataclasses.Field) -> str:
@@ -212,8 +207,7 @@ def cmd_train(args) -> int:
                       _copy_of(cm_map, tests))
     del asv_map, cm_map  # the pool and the dev bundle hold their own copies
     config = _config_from_args(TrainConfig, args)
-    result = train(pool, config, args.out, dev_bundle=dev_bundle)
-    last = result.epoch_logs[-1]
+    last = train(pool, config, args.out, dev_bundle=dev_bundle)[-1]
     print(f"trained {config.epochs} epochs, final mean selected loss "
           f"{last.mean_selected_loss:.6f}, checkpoints in {args.out}")
     return EXIT_OK

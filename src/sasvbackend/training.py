@@ -5,7 +5,7 @@ fused probability and BCE loss of every pair in one batched forward pass,
 keeps every positive pair plus the top-N hardest negatives, and
 backpropagates the mean loss over the kept pairs through SGD with momentum
 and coupled L2 weight decay. The learning rate decays by a fixed factor at
-every epoch end.
+every epoch end. train() is the epoch loop over start()'s run and step().
 
 The whole loop is deterministic for a given seed: parameter init, batch
 draws and gradient accumulation all run in a fixed order.
@@ -14,21 +14,20 @@ draws and gradient accumulation all run in a fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
 from .backend import BackendParams, POOLING_MODES, forward_batch
-from .metrics import evaluate
+from .metrics import EerReport, evaluate
 from .sampling import PairBatch, TrainingPool, draw_batch, eligible_speakers, expand_pairs
 from .scoring import score_trials
 
 BCE_CLAMP = 1e-12
-
-HARD_SELECTION_MODES = ("negatives_only", "all_trials")
 
 
 class TrainingDivergedError(RuntimeError):
@@ -62,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     pooling: str = "attention"
     hidden_dim: int = 64
-    hard_selection: str = "negatives_only"
 
     def __post_init__(self):
         for name in ("learning_rate", "momentum", "weight_decay", "lr_decay_per_epoch"):
@@ -77,8 +75,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if self.pooling not in POOLING_MODES:
             raise ValueError(f"unknown pooling mode {self.pooling!r}")
-        if self.hard_selection not in HARD_SELECTION_MODES:
-            raise ValueError(f"unknown hard_selection mode {self.hard_selection!r}")
 
 
 @dataclass
@@ -89,24 +85,43 @@ class OptimizerState:
 
 @dataclass(frozen=True)
 class EpochLog:
+    """One train.log line: epoch, learning rate, mean selected loss and,
+    with a dev report, its SV-, SPF- and SASV-EER ("absent" if missing)."""
+
     epoch: int
     learning_rate: float
     mean_selected_loss: float
-    dev_sv_eer: float | None = None
-    dev_spf_eer: float | None = None
-    dev_sasv_eer: float | None = None
+    dev: EerReport | None = None
 
     def line(self) -> str:
-        fields = [str(self.epoch), repr(self.learning_rate), repr(self.mean_selected_loss)]
-        if self.dev_sv_eer is not None:
-            fields += [repr(self.dev_sv_eer), repr(self.dev_spf_eer), repr(self.dev_sasv_eer)]
-        return "\t".join(fields)
+        fields = [self.epoch, self.learning_rate, self.mean_selected_loss]
+        if self.dev is not None:
+            fields += [self.dev.sv_eer, self.dev.spf_eer, self.dev.sasv_eer]
+        return "\t".join("absent" if value is None else repr(value) for value in fields)
 
 
 @dataclass
-class TrainResult:
+class Run:
+    """A run between steps: the rng that drew the parameters draws every
+    batch, and the parameters are tracked on the tape."""
+
+    pool: TrainingPool
+    config: TrainConfig
+    rng: np.random.Generator
+    tape: Tape
     params: BackendParams
-    epoch_logs: list[EpochLog] = field(default_factory=list)
+    optimizer: OptimizerState
+
+
+class StepRecord(NamedTuple):
+    """What one step did: its mean selected loss, the batch's (M, K) pool
+    rows, and its counts of pairs, positive pairs and selected pairs."""
+
+    loss: float
+    rows: np.ndarray
+    pairs: int
+    positives: int
+    selected: int
 
 
 def bce_loss(p: Tensor, positive) -> Tensor:
@@ -117,20 +132,14 @@ def bce_loss(p: Tensor, positive) -> Tensor:
     return ad.affine(ad.log(ad.clamp(prob, BCE_CLAMP, 1.0 - BCE_CLAMP)), -1.0)
 
 
-def select_hard(losses, positive_mask, top_n: int,
-                mode: str = "negatives_only") -> list[int]:
-    """Indices of the pairs kept for backward, in original pair order.
-
-    negatives_only keeps every positive plus the top_n largest-loss
-    negatives; all_trials ranks everything together. Ties keep their
-    original order (the ranking sort is stable).
-    """
+def select_hard(losses, positive_mask, top_n: int) -> list[int]:
+    """Indices of the pairs kept for backward, in original pair order:
+    every positive plus the top_n largest-loss negatives. Ties keep their
+    original order (the ranking sort is stable)."""
     losses = np.asarray(losses, dtype=np.float64)
     positive = np.asarray(positive_mask, dtype=bool)
     if losses.shape != positive.shape:
         raise ValueError("losses and positive_mask lengths differ")
-    if mode == "all_trials":
-        return np.sort(np.argsort(-losses, kind="stable")[:top_n]).tolist()
     negatives = np.flatnonzero(~positive)
     hardest = negatives[np.argsort(-losses[negatives], kind="stable")[:top_n]]
     return np.sort(np.concatenate([np.flatnonzero(positive), hardest])).tolist()
@@ -161,68 +170,64 @@ def batch_loss(params: BackendParams, pairs: PairBatch,
     """
     scores = forward_batch(params, pairs, config.pooling)
     losses = bce_loss(scores.p, pairs.positive)
-    selected = select_hard(losses.value, pairs.positive,
-                           config.hard_negative_top_n, config.hard_selection)
+    selected = select_hard(losses.value, pairs.positive, config.hard_negative_top_n)
     weights = np.zeros((1, len(pairs.positive)))
     weights[0, selected] = 1.0
     return ad.affine(ad.row_dot(losses, Tensor(weights)), 1.0 / len(selected)), selected
 
 
-def train(pool: TrainingPool, config: TrainConfig, out_dir, dev_bundle=None) -> TrainResult:
-    """Run the full optimization loop over a training pool; the
-    embedding dimensions are those of its matrices.
-
-    Writes the run directory out_dir: train.log (one EpochLog line per
-    epoch), epoch_NNN.ckpt after each epoch and final.ckpt. dev_bundle,
-    when given, is (trials, asv_map, cm_map); the dev SV-, SPF- and
-    SASV-EER of the fused scorer are then logged per epoch. A batch layout
-    the pool cannot supply raises before anything is written.
-    """
-    d_a, d_c = pool.asv.shape[1], pool.cm.shape[1]
-    m = config.speakers_per_batch
-    k = config.utterances_per_speaker
-    eligible_speakers(pool, m, k)
-
+def start(pool: TrainingPool, config: TrainConfig) -> Run:
+    """A fresh run on the pool, whose matrices fix the embedding dimensions.
+    A batch layout the pool cannot supply raises first."""
+    eligible_speakers(pool, config.speakers_per_batch, config.utterances_per_speaker)
     rng = np.random.default_rng(config.seed)
     tape = Tape()
-    params = BackendParams.init(d_a, d_c, config.hidden_dim, rng, tape=tape,
-                                pooling=config.pooling)
-    state = OptimizerState(
-        velocities={name: np.zeros_like(t.value) for name, t in params.parameters()},
-        learning_rate=config.learning_rate,
-    )
-    batches_per_epoch = max(1, math.ceil(len(pool) / (m * k)))
+    params = BackendParams.init(pool.asv.shape[1], pool.cm.shape[1], config.hidden_dim, rng,
+                                tape=tape, pooling=config.pooling)
+    velocities = {name: np.zeros_like(t.value) for name, t in params.parameters()}
+    return Run(pool, config, rng, tape, params, OptimizerState(velocities, config.learning_rate))
 
+
+def step(run: Run, epoch: int, batch: int) -> StepRecord:
+    """Step batch of epoch (both 1-based; the learning rate is lr *
+    decay^(epoch - 1)): draw, expand, loss, backward, SGD. A non-finite
+    loss or gradient raises TrainingDivergedError naming epoch and batch."""
+    config = run.config
+    run.optimizer.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** (epoch - 1)
+    drawn = draw_batch(run.pool, config.speakers_per_batch, config.utterances_per_speaker, run.rng)
+    pairs = expand_pairs(drawn)
+    loss, selected = batch_loss(run.params, pairs, config)
+    value = loss.item()
+    if not math.isfinite(value):
+        raise TrainingDivergedError("non-finite loss", epoch, batch)
+    run.tape.backward(loss)
+    sgd_step(run.params, run.optimizer, config, epoch=epoch, batch=batch)
+    run.tape.clear()
+    return StepRecord(value, drawn.rows, len(pairs.positive),
+                      int(np.count_nonzero(pairs.positive)), len(selected))
+
+
+def train(pool: TrainingPool, config: TrainConfig, out_dir, dev_bundle=None) -> list[EpochLog]:
+    """Run config.epochs epochs of ceil(len(pool) / (M * K)) steps each and
+    return their EpochLogs. Writes the run directory out_dir: train.log (an
+    EpochLog line per epoch), epoch_NNN.ckpt after each epoch and
+    final.ckpt, the trained parameters. dev_bundle, when given, is (trials,
+    asv_map, cm_map), whose fused dev EERs are then logged per epoch. A
+    batch layout the pool cannot supply raises before anything is written."""
+    run = start(pool, config)
+    steps = math.ceil(len(pool) / (config.speakers_per_batch * config.utterances_per_speaker))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = TrainResult(params=params)
+    logs = []
     with open(out_dir / "train.log", "w", encoding="utf-8") as log_file:
-        for epoch in range(config.epochs):
-            state.learning_rate = config.learning_rate * config.lr_decay_per_epoch ** epoch
-            epoch_losses = []
-            for batch_idx in range(batches_per_epoch):
-                batch = draw_batch(pool, m, k, rng)
-                pairs = expand_pairs(batch)
-                loss, _ = batch_loss(params, pairs, config)
-                value = loss.item()
-                if not math.isfinite(value):
-                    raise TrainingDivergedError("non-finite loss", epoch + 1, batch_idx + 1)
-                tape.backward(loss)
-                sgd_step(params, state, config, epoch=epoch + 1, batch=batch_idx + 1)
-                tape.clear()
-                epoch_losses.append(value)
-
-            mean_loss = sum(epoch_losses) / len(epoch_losses)
-            dev_eers = (None, None, None)
-            if dev_bundle is not None:
-                trials, asv_map, cm_map = dev_bundle
-                report = evaluate(score_trials(params, trials, asv_map, cm_map,
-                                               pooling=config.pooling, scorer="fused"))
-                dev_eers = (report.sv_eer, report.spf_eer, report.sasv_eer)
-            log = EpochLog(epoch + 1, state.learning_rate, mean_loss, *dev_eers)
-            result.epoch_logs.append(log)
-            log_file.write(log.line() + "\n")
+        for epoch in range(1, config.epochs + 1):
+            losses = [step(run, epoch, batch).loss for batch in range(1, steps + 1)]
+            dev = None if dev_bundle is None else evaluate(
+                score_trials(run.params, *dev_bundle, pooling=config.pooling, scorer="fused"))
+            logs.append(EpochLog(epoch, run.optimizer.learning_rate,
+                                 sum(losses) / len(losses), dev))
+            log_file.write(logs[-1].line() + "\n")
             log_file.flush()
-            params.save(out_dir / f"epoch_{epoch + 1:03d}.ckpt")
-    params.save(out_dir / "final.ckpt")
-    return result
+            run.params.save(out_dir / f"epoch_{epoch:03d}.ckpt")
+    run.params.save(out_dir / "final.ckpt")
+    return logs

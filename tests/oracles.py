@@ -90,7 +90,7 @@ def per_pair_batch_loss(params, pairs, config, batch):
         labels.append(test.speaker_id == block.speaker_id and test.bonafide)
         losses.append(tr.bce_loss(p, labels[-1]))
     selected = tr.select_hard([loss.item() for loss in losses], labels,
-                              config.hard_negative_top_n, config.hard_selection)
+                              config.hard_negative_top_n)
     total = losses[selected[0]]
     for i in selected[1:]:
         total = ad.add(total, losses[i])

@@ -456,6 +456,37 @@ class TestGroupPooling:
         assert not [shape for shape in shapes if shape[:2] == (m * k, k - 1)]
 
 
+class TestStackRows:
+    """rows() hands pooling the stack's own array unless some entry is
+    masked in every set of its group, and never writes to the stack."""
+
+    def test_drawn_layout_reads_the_stack_itself(self):
+        stack = pair_batch(6, seed=3).enroll
+        assert not stack.masked.all(axis=1).any()
+        assert stack.rows() is stack.embeddings
+
+    def test_scoring_layout_reads_the_stack_itself(self):
+        stack = bk.EnrollmentStack(np.random.default_rng(2).standard_normal((3, 4, 5)),
+                                   np.zeros((3, 1, 4), dtype=bool))
+        assert stack.rows() is stack.embeddings
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_spoofed_entries_are_zeroed_in_a_copy(self, pooling):
+        bonafide = np.array([True, False, True, False])
+        vectors = np.random.default_rng(4).standard_normal((4, 5))
+        enroll = enrollment(vectors, bonafide)
+        before = enroll.embeddings.copy()
+        rows = enroll.rows()
+        assert not np.shares_memory(rows, enroll.embeddings)
+        assert np.array_equal(rows[0], np.where(bonafide[:, None], vectors, 0.0))
+        params = make_params(d_a=5, seed=1)
+        pooled = (bk.pool_enrollments(params, enroll) if pooling == "attention"
+                  else bk.average_pool(enroll))
+        assert np.all(np.isfinite(pooled.value))
+        assert np.array_equal(enroll.embeddings, before)
+        assert np.array_equal(enroll.embeddings[0], vectors)
+
+
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         p = make_params(d_a=6, d_c=5, h_f=3, seed=21)

@@ -20,7 +20,7 @@ from sasvbackend import cli
 from sasvbackend import data as dio
 from sasvbackend import training
 from sasvbackend.backend import BackendParams, ZeroNormError
-from sasvbackend.training import EpochLog, TrainConfig, TrainResult
+from sasvbackend.training import EpochLog, TrainConfig
 
 SYNTH_SMALL = [
     "--train-speakers", "4", "--dev-speakers", "2", "--eval-speakers", "2",
@@ -115,7 +115,7 @@ class TestTrain:
         def stub_train(pool, config, out_dir, dev_bundle=None):
             seen["alive"] = [ref() is not None for ref in loaded]
             seen["bundle"] = dev_bundle
-            return TrainResult(pool, [EpochLog(1, config.learning_rate, 0.5)])
+            return [EpochLog(1, config.learning_rate, 0.5)]
         monkeypatch.setattr(dio, "load_embeddings", tracked_load)
         monkeypatch.setattr(cli, "train", stub_train)
         dev_args = ["--dev-trials", str(corpus / "trials_dev.tsv")] if dev else []
@@ -211,6 +211,29 @@ class TestTrain:
         ])
         assert code == 3
         assert "speakers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_no_option_selects_another_selection_policy(self, corpus, tmp_path, capsys,
+                                                      source):
+        """Every run keeps all positives plus the top-N hardest negatives;
+        asking for a selection policy by flag or config key exits 2 before
+        anything is written."""
+        out = tmp_path / "run"
+        argv = ["train", "--manifest", str(corpus / "manifest.tsv"), *data_args(corpus),
+                "--out", str(out), *TRAIN_SMALL]
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                cli.main([*argv, "--hard-selection", "negatives_only"])
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --hard-selection negatives_only" \
+                in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "train.cfg"
+            cfg.write_text("hard-selection=negatives_only\n")
+            assert cli.main([*argv, "--config", str(cfg)]) == 2
+            assert re.search(f"^error: {re.escape(str(cfg))}: unknown config keys: "
+                             "hard.selection$", capsys.readouterr().err, re.M)
+        assert not out.exists()
 
 
 class TestNonPositiveDimensions:

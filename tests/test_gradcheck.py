@@ -18,7 +18,7 @@ from sasvbackend import autodiff as ad
 from sasvbackend import gradcheck as gc
 from sasvbackend.backend import POOLING_MODES, BackendParams
 from sasvbackend.sampling import draw_batch, expand_pairs
-from sasvbackend.training import HARD_SELECTION_MODES, TrainConfig, batch_loss
+from sasvbackend.training import TrainConfig, batch_loss
 
 UPSTREAM_OF_TANH = {"Wq", "Wk", "Wv", "Wf", "bf"}
 
@@ -61,7 +61,7 @@ def test_round_off_on_tiny_entries_is_not_a_failure():
 ROUND_OFF_FLOOR = 1e-6
 
 
-def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, mode, top_n, step=1e-4):
+def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n, step=1e-4):
     """Per parameter group, the scale-aware error of <grad L, u> against
     (L(theta + step u) - L(theta - step u)) / (2 step), for one random unit
     direction u of the group, on one batch of a random pool. None when a
@@ -69,7 +69,7 @@ def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, mode, top_n, step=1e-
     rng = np.random.default_rng(seed)
     pairs = expand_pairs(draw_batch(gc._random_pool(rng, m, k // 2 + 1, d_a, d_c), m, k, rng))
     config = TrainConfig(speakers_per_batch=m, utterances_per_speaker=k, hidden_dim=h_f,
-                         hard_negative_top_n=top_n, hard_selection=mode, pooling=pooling)
+                         hard_negative_top_n=top_n, pooling=pooling)
     tape = ad.Tape()
     params = BackendParams.init(d_a, d_c, h_f, rng, tape=tape)
     loss, selected = batch_loss(params, pairs, config)
@@ -98,12 +98,11 @@ def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, mode, top_n, step=1e-
 
 @given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(2, 12), d_c=st.integers(1, 8),
        h_f=st.integers(1, 8), m=st.integers(2, 4), k=st.sampled_from([4, 6, 10]),
-       pooling=st.sampled_from(POOLING_MODES), mode=st.sampled_from(HARD_SELECTION_MODES),
-       top_n=st.integers(1, 120))
+       pooling=st.sampled_from(POOLING_MODES), top_n=st.integers(1, 120))
 @settings(max_examples=250, deadline=None)
 def test_directional_derivatives_match_across_shapes(seed, d_a, d_c, h_f, m, k, pooling,
-                                                     mode, top_n):
-    errors = directional_errors(seed, d_a, d_c, h_f, m, k, pooling, mode, top_n)
+                                                     top_n):
+    errors = directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n)
     assume(errors is not None)
     assert max(errors.values()) < gc.TOLERANCE, errors
 
@@ -112,6 +111,6 @@ def test_directional_derivatives_match_across_shapes(seed, d_a, d_c, h_f, m, k, 
 @pytest.mark.parametrize("shape", [(0, 8, 6, 4, 2, 4), (1, 5, 3, 7, 3, 6)])
 def test_directional_check_catches_planted_bug(monkeypatch, factor, shape):
     monkeypatch.setattr(ad, "tanh", tanh_with_backward_scaled(factor))
-    errors = directional_errors(*shape, "attention", "negatives_only", 10)
+    errors = directional_errors(*shape, "attention", 10)
     flagged = {name for name, err in errors.items() if err >= gc.TOLERANCE}
     assert {"Wf", "bf"} <= flagged <= UPSTREAM_OF_TANH, errors

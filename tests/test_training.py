@@ -17,7 +17,9 @@ from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
 from sasvbackend import training as tr
 from sasvbackend.backend import BackendParams, EnrollmentStack
+from sasvbackend.metrics import EerReport, evaluate
 from sasvbackend.sampling import TrainingPool, draw_batch, expand_pairs
+from sasvbackend.scoring import score_trials
 
 
 def tiny_dataset(seed=0, **overrides):
@@ -97,12 +99,6 @@ class TestSelectHard:
         losses = [1.0, 1.0, 1.0, 1.0]
         kept = tr.select_hard(losses, [False] * 4, 2)
         assert kept == [0, 1]
-
-    def test_all_trials_mode(self):
-        losses = [0.1, 5.0, 0.2, 4.0]
-        positives = [True, False, True, False]
-        kept = tr.select_hard(losses, positives, 2, mode="all_trials")
-        assert kept == [1, 3]  # positives may be dropped in this mode
 
 
 class TestSgdStep:
@@ -249,31 +245,27 @@ class TestBatchedForward:
                                        atol=self.RTOL * np.max(np.abs(g)), err_msg=name)
 
     @given(m=st.integers(2, 4), half_k=st.integers(2, 3), top_n=st.integers(1, 40),
-           pooling=st.sampled_from(["attention", "average"]),
-           mode=st.sampled_from(tr.HARD_SELECTION_MODES), seed=st.integers(0, 10_000))
+           pooling=st.sampled_from(["attention", "average"]), seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_matches_per_pair_reference(self, m, half_k, top_n, pooling, mode, seed):
+    def test_matches_per_pair_reference(self, m, half_k, top_n, pooling, seed):
         rng = np.random.default_rng(seed)
         k = 2 * half_k
         batch = draw_batch(random_pool(rng, m + 1, half_k), m, k, rng)
         pairs = expand_pairs(batch)
         config = tr.TrainConfig(hard_negative_top_n=top_n, pooling=pooling, hidden_dim=3,
-                                hard_selection=mode, speakers_per_batch=m,
-                                utterances_per_speaker=k)
+                                speakers_per_batch=m, utterances_per_speaker=k)
         self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, seed), loss_and_grads(
             functools.partial(per_pair_batch_loss, batch=batch), pairs, config, seed))
 
     @pytest.mark.parametrize("m, k", [(3, 4), (4, 6), (16, 10)])
-    @pytest.mark.parametrize("mode", tr.HARD_SELECTION_MODES)
     @pytest.mark.parametrize("pooling", ["attention", "average"])
-    def test_matches_the_k_slot_layout(self, m, k, mode, pooling):
+    def test_matches_the_k_slot_layout(self, m, k, pooling):
         """Holding only the bona-fide rows, under K/2 + 1 sets per speaker,
         computes the loss of the layout that holds all K rows under K sets."""
         rng = np.random.default_rng(m * k)
         pairs = expand_pairs(draw_batch(random_pool(rng, m + 1, k // 2), m, k, rng))
         config = tr.TrainConfig(hard_negative_top_n=2 * m * k, pooling=pooling, hidden_dim=3,
-                                hard_selection=mode, speakers_per_batch=m,
-                                utterances_per_speaker=k)
+                                speakers_per_batch=m, utterances_per_speaker=k)
         self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, k),
                          loss_and_grads(tr.batch_loss, k_slot_layout(pairs, m, k), config, k))
 
@@ -312,24 +304,22 @@ class TestTrain:
         config = tiny_config()
         one = tr.train(records, config, tmp_path / "one")
         two = tr.train(records, config, tmp_path / "two")
-        assert [l.mean_selected_loss for l in one.epoch_logs] == \
-               [l.mean_selected_loss for l in two.epoch_logs]
-        for (n, a), (_, b) in zip(one.params.parameters(), two.params.parameters()):
-            assert np.array_equal(a.value, b.value), n
+        assert [l.mean_selected_loss for l in one] == [l.mean_selected_loss for l in two]
+        assert (tmp_path / "one" / "final.ckpt").read_bytes() == \
+               (tmp_path / "two" / "final.ckpt").read_bytes()
 
     def test_loss_decreases_on_separable_data(self, tmp_path):
         records, _ = tiny_dataset(cm_separation=8.0)
         config = tiny_config(epochs=6, learning_rate=0.2)
-        result = tr.train(records, config, tmp_path)
-        first = result.epoch_logs[0].mean_selected_loss
-        last = result.epoch_logs[-1].mean_selected_loss
+        logs = tr.train(records, config, tmp_path)
+        first = logs[0].mean_selected_loss
+        last = logs[-1].mean_selected_loss
         assert last < first
 
     def test_learning_rate_schedule_exact(self, tmp_path):
         records, _ = tiny_dataset()
         config = tiny_config(epochs=3)
-        result = tr.train(records, config, tmp_path)
-        for log in result.epoch_logs:
+        for log in tr.train(records, config, tmp_path):
             expected = config.learning_rate * config.lr_decay_per_epoch ** (log.epoch - 1)
             assert log.learning_rate == expected
 
@@ -337,16 +327,13 @@ class TestTrain:
         records, ds = tiny_dataset()
         config = tiny_config(epochs=2)
         dev = (ds.trials_dev, ds.asv_embeddings, ds.cm_embeddings)
-        result = tr.train(records, config, tmp_path / "ck", dev_bundle=dev)
+        tr.train(records, config, tmp_path / "ck", dev_bundle=dev)
         assert (tmp_path / "ck" / "epoch_001.ckpt").exists()
         assert (tmp_path / "ck" / "epoch_002.ckpt").exists()
         assert (tmp_path / "ck" / "final.ckpt").exists()
         lines = (tmp_path / "ck" / "train.log").read_text().splitlines()
         assert len(lines) == 2
         assert len(lines[0].split("\t")) == 6  # epoch lr loss + 3 dev EERs
-        final = BackendParams.load(tmp_path / "ck" / "final.ckpt")
-        for (n, a), (_, b) in zip(result.params.parameters(), final.parameters()):
-            assert np.array_equal(a.value, b.value), n
 
     def test_log_without_dev_bundle_has_three_fields(self, tmp_path):
         records, _ = tiny_dataset()
@@ -359,12 +346,42 @@ class TestTrain:
         from sasvbackend.scoring import score_trials
         records, ds = tiny_dataset()
         dev = (ds.trials_dev, ds.asv_embeddings, ds.cm_embeddings)
-        result = tr.train(records, tiny_config(epochs=2), tmp_path, dev_bundle=dev)
-        report = evaluate(score_trials(result.params, *dev, scorer="fused"))
-        last = result.epoch_logs[-1]
-        assert last.dev_sv_eer == report.sv_eer
-        assert last.dev_spf_eer == report.spf_eer
-        assert last.dev_sasv_eer == report.sasv_eer
+        last = tr.train(records, tiny_config(epochs=2), tmp_path, dev_bundle=dev)[-1]
+        final = BackendParams.load(tmp_path / "final.ckpt")
+        report = evaluate(score_trials(final, *dev, scorer="fused"))
+        assert last.dev.sv_eer == report.sv_eer
+        assert last.dev.spf_eer == report.spf_eer
+        assert last.dev.sasv_eer == report.sasv_eer
+
+    @pytest.mark.parametrize("missing, absent_field", [("nontarget", 3), ("spoof", 4)])
+    def test_missing_dev_class_is_logged_absent(self, tmp_path, missing, absent_field):
+        """A dev set without a class still logs all three dev EERs: the
+        missing one reads absent, and the other two are the standalone
+        evaluation's."""
+        records, ds = tiny_dataset()
+        dev = ([t for t in ds.trials_dev if t.label != missing],
+               ds.asv_embeddings, ds.cm_embeddings)
+        tr.train(records, tiny_config(epochs=2), tmp_path, dev_bundle=dev)
+        lines = (tmp_path / "train.log").read_text().splitlines()
+        assert len(lines) == 2
+        for line in lines:
+            fields = line.split("\t")
+            assert len(fields) == 6, line
+            assert fields[absent_field] == "absent", line
+            assert "None" not in line
+        report = evaluate(score_trials(BackendParams.load(tmp_path / "final.ckpt"), *dev,
+                                       scorer="fused"))
+        eers = [report.sv_eer, report.spf_eer, report.sasv_eer]
+        assert eers[absent_field - 3] is None
+        assert lines[-1].split("\t")[3:] == ["absent" if e is None else repr(e) for e in eers]
+
+    def test_no_log_line_reads_none(self):
+        full = EerReport(0.25, 0.5, 0.125, 0.1, 0.2, 0.3, 4, 4, 4)
+        for dev in (None, full, dataclasses.replace(full, sv_eer=None),
+                    dataclasses.replace(full, spf_eer=None)):
+            line = tr.EpochLog(3, 0.1, 0.5, dev).line()
+            assert "None" not in line
+            assert len(line.split("\t")) == (3 if dev is None else 6)
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_nan_weight_ends_in_the_loss_check(self, tmp_path, monkeypatch, pooling):
@@ -387,6 +404,45 @@ class TestTrain:
         config = tiny_config(speakers_per_batch=50)
         with pytest.raises(Exception, match="speakers"):
             tr.train(records, config, tmp_path / "run")
+
+
+class TestStep:
+    def test_hand_loop_matches_train(self, tmp_path):
+        """Running the steps by hand over start's run gives train's epoch
+        losses and its final.ckpt, byte for byte."""
+        records, _ = tiny_dataset()
+        config = tiny_config(epochs=3)
+        logs = tr.train(records, config, tmp_path / "train")
+        run = tr.start(records, config)
+        steps = math.ceil(len(records) / (config.speakers_per_batch
+                                          * config.utterances_per_speaker))
+        means = []
+        for epoch in range(1, config.epochs + 1):
+            losses = [tr.step(run, epoch, batch).loss for batch in range(1, steps + 1)]
+            means.append(sum(losses) / len(losses))
+        assert means == [log.mean_selected_loss for log in logs]
+        run.params.save(tmp_path / "hand.ckpt")
+        assert (tmp_path / "hand.ckpt").read_bytes() == \
+               (tmp_path / "train" / "final.ckpt").read_bytes()
+
+    def test_corpus_scale_counts(self):
+        """At M=16, K=10 and N=100 a step pairs 2,560 trials, 80 of them
+        positive, and keeps the 80 positives plus 100 negatives."""
+        rng = np.random.default_rng(5)
+        pool = random_pool(rng, 17, 5)
+        config = tr.TrainConfig(hidden_dim=3, speakers_per_batch=16, utterances_per_speaker=10)
+        record = tr.step(tr.start(pool, config), 1, 1)
+        assert (record.pairs, record.positives, record.selected) == (2560, 80, 180)
+        assert record.rows.shape == (16, 10)
+        assert math.isfinite(record.loss)
+
+    @pytest.mark.parametrize("epoch", [1, 2, 5])
+    def test_sets_the_epoch_learning_rate(self, epoch):
+        records, _ = tiny_dataset()
+        config = tiny_config(learning_rate=0.03, lr_decay_per_epoch=0.5)
+        run = tr.start(records, config)
+        tr.step(run, epoch, 1)
+        assert run.optimizer.learning_rate == 0.03 * 0.5 ** (epoch - 1)
 
 
 class TestConfigValidation:
