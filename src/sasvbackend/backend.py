@@ -8,9 +8,9 @@ embedding is scored by a linear head (the CM probability), and the two
 probabilities are fused by a learnable linear transform into the final
 score.
 
-Spoofed enrollment entries are both zeroed out and excluded from every
-attention softmax, so their content can never influence the pooled vector
-or any gradient.
+Masked enrollment entries (spoofed or held out) get an exact zero weight
+in every attention softmax and in the average, so their finite content
+never influences the pooled vector or any gradient.
 
 The building blocks work on stacks: forward_batch runs the whole pass over
 a TrialBatch, pooling every enrollment group once and scoring every test
@@ -90,9 +90,9 @@ class EnrollmentStack:
     G * R enrollment sets.
 
     embeddings is (G, K, d_a). masked (G, R, K) is True where set g * R + r
-    leaves an entry of group g out: a spoofed entry, an entry held out for
-    testing, or padding. Masked entries never influence that set's pooled
-    vector or gradients.
+    leaves an entry of group g out: a spoofed entry or one held out for
+    testing. Pooling gives it exactly zero weight and never writes to
+    embeddings, so its finite content never reaches that set's result.
     """
 
     embeddings: np.ndarray
@@ -106,12 +106,6 @@ class EnrollmentStack:
         if degenerate.size:
             raise DegenerateEnrollmentError(
                 f"enrollment set {degenerate[0]} has no bona-fide entry")
-
-    def rows(self) -> np.ndarray:
-        """embeddings, or a copy of it zeroed where every set of the group
-        masks the entry (a spoofed EnrollmentSet entry); never written to."""
-        unused = self.masked.all(axis=1)[..., None]
-        return np.where(unused, 0.0, self.embeddings) if unused.any() else self.embeddings
 
 
 class EnrollmentSet(EnrollmentStack):
@@ -287,12 +281,11 @@ def pool_enrollments(params: BackendParams, stack: EnrollmentStack) -> Tensor:
     are computed once per group; each set then takes its own masked
     softmaxes. Since O Wf^T = A (V Wf^T) + E Wf^T and
     alpha O = (alpha A) V + alpha E, no set's K x d_a output O is formed.
-    Masked entries get exactly zero weight in both softmaxes, and entries
-    masked in every set of a group are zeroed, so a set's result is
-    independent of the content of its masked entries.
+    Masked entries get exactly zero weight in both softmaxes, so a set's
+    result is independent of the (finite) content of its masked entries.
     """
     g, r, k = stack.masked.shape
-    E = stack.rows()
+    E = stack.embeddings
     X = Tensor(E)
 
     # scaled-dot self-attention with residual, one softmax per set
@@ -314,10 +307,10 @@ def pool_enrollments(params: BackendParams, stack: EnrollmentStack) -> Tensor:
 
 
 def average_pool(stack: EnrollmentStack) -> Tensor:
-    """Arithmetic mean of each set's bona-fide enrollment embeddings only,
-    in pool_enrollments' row order. Untracked: it has no parameters."""
+    """Mean of each set's unmasked embeddings (a masked one has keep weight
+    0), in pool_enrollments' row order. Untracked: it has no parameters."""
     keep = (~stack.masked).astype(np.float64)
-    h = (keep @ stack.rows()) / keep.sum(axis=-1, keepdims=True)
+    h = (keep @ stack.embeddings) / keep.sum(axis=-1, keepdims=True)
     return Tensor(h.reshape(-1, h.shape[-1]))
 
 

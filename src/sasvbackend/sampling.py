@@ -120,16 +120,15 @@ class TrainingPair(NamedTuple):
 class PairBatch(TrialBatch):
     """The M * K * M training pairs of a mini-batch, as arrays.
 
-    Row l*K + j of test_asv (M*K x d_a), test_cm (M*K x d_c) and bonafide
-    holds utterance j of speaker l. The enrollment stack has one group per
-    speaker holding its B = K/2 bona-fide rows, in slot order, under B + 1
-    sets: set n*(B+1) + j leaves out speaker n's bona-fide entry j for
-    j < B, and set n*(B+1) + B keeps them all. Pair i = (l*K + m)*M + n
+    Row l*K + j of test_asv (M*K x d_a) and test_cm (M*K x d_c) holds
+    utterance j of speaker l, MiniBatch.rows[l, j]. The enrollment stack has
+    one group per speaker holding its B = K/2 bona-fide rows, in slot order,
+    under B + 1 sets: set n*(B+1) + j leaves out speaker n's bona-fide entry
+    j for j < B, and set n*(B+1) + B keeps them all. Pair i = (l*K + m)*M + n
     tests row test_row[i] = l*K + m against enrollment set enroll_set[i],
     speaker n's set without slot m; positive[i] is its label.
     """
 
-    bonafide: np.ndarray
     positive: np.ndarray
 
     # no package code indexes pairs; the benchmark sums p.positive over them
@@ -196,10 +195,10 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
     Spoofed entries get zero weight, so each speaker's group holds only its
     K/2 bona-fide rows, in slot order, under the sets PairBatch describes;
     a pair whose slot m is spoofed takes speaker n's full set. Pairs are
-    ordered by (l, m, n). test_asv, test_cm and bonafide are one gather
-    each from the pool's arrays by the batch's row indices. A block that
-    does not hold exactly K/2 bona-fide rows, which draw_batch never
-    builds, raises ValueError.
+    ordered by (l, m, n). test_asv and test_cm are one gather each from the
+    pool's arrays by the batch's row indices. A block that does not hold
+    exactly K/2 bona-fide rows, which draw_batch never builds, raises
+    ValueError.
     """
     m, k = batch.rows.shape
     half = k // 2
@@ -221,6 +220,5 @@ def expand_pairs(batch: MiniBatch) -> PairBatch:
         enroll=EnrollmentStack(asv[bonafide].reshape(m, half, -1), masked),
         test_row=test_row,
         enroll_set=set_of[enroll_speaker, test_row % k],
-        bonafide=bonafide,
         positive=(enroll_speaker == test_row // k) & bonafide[test_row],
     )

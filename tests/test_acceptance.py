@@ -25,7 +25,8 @@ from sasvbackend import training as tr
 from sasvbackend.gradcheck import gradient_check
 from sasvbackend.sampling import draw_batch, expand_pairs
 
-GRADCHECK_SEEDS = tuple(range(20))
+# seed 141 failed on round-off under a plain central difference at step 1e-5
+GRADCHECK_SEEDS = tuple(range(20)) + (141,)
 
 # pinned desk-scale recipe for the synthetic-trend criteria; the
 # corpus-scale defaults (lr 1e-4, 40 epochs, 16x10 batches) stay the
@@ -109,9 +110,9 @@ def averaging_report(trend_pipeline, tmp_path_factory):
 
 
 def test_criterion_1_gradient_correctness():
-    """Analytic gradients match central finite differences (h = 1e-5,
-    scale-aware error < 1e-4) for every parameter group on seeds 0..19,
-    < 30 s."""
+    """Analytic gradients match extrapolated central differences (h = 1e-3,
+    scale-aware error < 1e-4) for every parameter group on seeds 0..19 and
+    141, < 30 s."""
     started = time.perf_counter()
     worst_overall = ("", 0.0)
     for seed in GRADCHECK_SEEDS:

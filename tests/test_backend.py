@@ -348,12 +348,16 @@ class TestForward:
         assert np.any(p.a.grad)
 
 
-def pair_batch(d_a, m=4, k=4, seed=0):
+def drawn_batch(d_a, m=4, k=4, seed=0):
     ds = dio.generate_synthetic(dio.SynthConfig(
         train_speakers=m, dev_speakers=2, eval_speakers=2, bonafide_per_speaker=6,
         spoof_per_speaker=6, d_a=d_a, d_c=5, seed=seed))
     records = dio.build_records(ds.manifest, ds.asv_embeddings, ds.cm_embeddings)
-    return sampling.expand_pairs(sampling.draw_batch(records, m, k, np.random.default_rng(seed)))
+    return sampling.draw_batch(records, m, k, np.random.default_rng(seed))
+
+
+def pair_batch(d_a, m=4, k=4, seed=0):
+    return sampling.expand_pairs(drawn_batch(d_a, m, k, seed))
 
 
 class TestAsvHeadPerDistinctRow:
@@ -414,17 +418,18 @@ class TestGroupPooling:
         embeddings = stack.embeddings.copy()
         got = (bk.pool_enrollments(params, stack) if pooling == "attention"
                else bk.average_pool(stack)).value
-        assert np.array_equal(stack.embeddings, embeddings)  # rows() zeroes a copy
+        assert np.array_equal(stack.embeddings, embeddings)  # pooling never writes to it
         want = pooled_per_set(params, stack, pooling)
         assert got.shape == (stack.masked.shape[0] * stack.masked.shape[1], 6)
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_excluded_slot_cannot_leak(self, pooling):
-        pairs = pair_batch(6, seed=3)
+        batch = drawn_batch(6, seed=3)
+        pairs = sampling.expand_pairs(batch)
         m, k = 4, 4
         n = 2
-        j = int(np.flatnonzero(pairs.bonafide[n * k:(n + 1) * k])[0])
+        j = int(np.flatnonzero(batch.pool.bonafide[batch.rows[n]])[0])
         # speaker n's set for a test at each slot: pair (l, slot, n) with l = 0
         set_for = pairs.enroll_set[np.arange(k) * m + n]
         params = make_params(d_a=6, d_c=5, h_f=3, seed=3)
@@ -456,34 +461,25 @@ class TestGroupPooling:
         assert not [shape for shape in shapes if shape[:2] == (m * k, k - 1)]
 
 
-class TestStackRows:
-    """rows() hands pooling the stack's own array unless some entry is
-    masked in every set of its group, and never writes to the stack."""
-
-    def test_drawn_layout_reads_the_stack_itself(self):
-        stack = pair_batch(6, seed=3).enroll
-        assert not stack.masked.all(axis=1).any()
-        assert stack.rows() is stack.embeddings
-
-    def test_scoring_layout_reads_the_stack_itself(self):
-        stack = bk.EnrollmentStack(np.random.default_rng(2).standard_normal((3, 4, 5)),
-                                   np.zeros((3, 1, 4), dtype=bool))
-        assert stack.rows() is stack.embeddings
+class TestMaskingByWeight:
+    """Pooling reads the stack's own array: a masked entry is left out by
+    its exact zero weight, never by zeroing its content."""
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
-    def test_spoofed_entries_are_zeroed_in_a_copy(self, pooling):
+    def test_spoofed_entries_pool_as_zeros_and_stay_unwritten(self, pooling):
         bonafide = np.array([True, False, True, False])
         vectors = np.random.default_rng(4).standard_normal((4, 5))
         enroll = enrollment(vectors, bonafide)
-        before = enroll.embeddings.copy()
-        rows = enroll.rows()
-        assert not np.shares_memory(rows, enroll.embeddings)
-        assert np.array_equal(rows[0], np.where(bonafide[:, None], vectors, 0.0))
+        zeroed = bk.EnrollmentStack(np.where(bonafide[:, None], vectors, 0.0)[None],
+                                    enroll.masked)
         params = make_params(d_a=5, seed=1)
-        pooled = (bk.pool_enrollments(params, enroll) if pooling == "attention"
-                  else bk.average_pool(enroll))
-        assert np.all(np.isfinite(pooled.value))
-        assert np.array_equal(enroll.embeddings, before)
+
+        def pool(stack):
+            return (bk.pool_enrollments(params, stack) if pooling == "attention"
+                    else bk.average_pool(stack)).value
+        pooled = pool(enroll)
+        assert np.all(np.isfinite(pooled))
+        assert pooled.tobytes() == pool(zeroed).tobytes()
         assert np.array_equal(enroll.embeddings[0], vectors)
 
 

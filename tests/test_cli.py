@@ -570,13 +570,18 @@ class TestGradcheck:
         assert "Wq" in out and "ok" in out
 
     def test_failure_exit_code_structure(self, capsys):
-        # tolerance is fixed; drive a fake failure through a tiny fd step
-        # by checking the reported errors instead: all groups listed
+        # a passing run lists every parameter group's error; the failing
+        # exit is checked by test_failed_check_exits_6_naming_the_worst_group
         assert cli.main(["gradcheck", "--seed", "1"]) == 0
         lines = capsys.readouterr().out.splitlines()
         groups = {l.split("\t")[0] for l in lines if "\t" in l}
         assert {"Wq", "Wk", "Wv", "Wf", "bf", "vf", "a", "b",
                 "w_cm", "b_cm", "w1", "w2", "v"} <= groups
+
+    def test_round_off_does_not_fail_seed_141(self, capsys):
+        # a plain central difference at step 1e-5 put Wk's error at 1.28e-4
+        assert cli.main(["gradcheck", "--seed", "141"]) == 0
+        assert capsys.readouterr().out.endswith("ok: all gradients within 1e-04\n")
 
     @pytest.mark.parametrize("flags, code, message", [
         (["--speakers", "0"], 2, "m must be at least 2, got 0"),

@@ -5,13 +5,14 @@ planted in place of the real op. The forward values stay exact, so finite
 differences see the true gradient while the tape reports a wrong one.
 
 The directional check compares each parameter group's gradient along one
-random unit direction u with a central difference of the loss along u, so
-it needs two loss evaluations per group and can sweep many shapes.
+random unit direction u with gradcheck's extrapolated central difference
+of the loss along u, so it needs four loss evaluations per group and can
+sweep many shapes.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sasvbackend import autodiff as ad
@@ -55,17 +56,21 @@ def test_round_off_on_tiny_entries_is_not_a_failure():
     assert gc.group_error(ag, ag + np.array([0.0, 0.0, 1e-9])) >= gc.TOLERANCE
 
 
-# one ulp of a loss near 1 moves a central difference at step 1e-4 by about
-# 5e-13, so below this floor a hundred ulps of round-off could exceed the
-# tolerance; at gradcheck's step of 1e-5 round-off alone reached 9e-5
+# one ulp of a loss near 1 moves gradcheck's extrapolated central
+# difference (steps 1e-3 and 5e-4) by about 2e-13, so below this floor a
+# hundred ulps of round-off could exceed the tolerance
 ROUND_OFF_FLOOR = 1e-6
 
 
-def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n, step=1e-4):
+class SelectionChanged(Exception):
+    """A perturbed loss kept other pairs than the unperturbed one."""
+
+
+def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n):
     """Per parameter group, the scale-aware error of <grad L, u> against
-    (L(theta + step u) - L(theta - step u)) / (2 step), for one random unit
-    direction u of the group, on one batch of a random pool. None when a
-    step changes the selected pairs, where the loss is not differentiable."""
+    gc.central_difference of L along one random unit direction u of the
+    group, on one batch of a random pool. None when a step changes the
+    selected pairs, where the loss is not differentiable."""
     rng = np.random.default_rng(seed)
     pairs = expand_pairs(draw_batch(gc._random_pool(rng, m, k // 2 + 1, d_a, d_c), m, k, rng))
     config = TrainConfig(speakers_per_batch=m, utterances_per_speaker=k, hidden_dim=h_f,
@@ -75,21 +80,22 @@ def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n, step=1e-4):
     loss, selected = batch_loss(params, pairs, config)
     tape.backward(loss)
     detached = params.detach()  # shares the value arrays
+
+    def loss_value():
+        value, kept = batch_loss(detached, pairs, config)
+        if kept != selected:
+            raise SelectionChanged
+        return value.item()
+
     errors = {}
     for name, tensor in params.parameters():
         u = rng.standard_normal(tensor.shape)
         u /= np.linalg.norm(u)
-        original = tensor.value.copy()
-        ends = []
-        for sign in (1.0, -1.0):
-            tensor.value[...] = original + sign * step * u
-            value, kept = batch_loss(detached, pairs, config)
-            if kept != selected:
-                return None
-            ends.append(value.item())
-        tensor.value[...] = original
+        try:
+            fd = gc.central_difference(loss_value, tensor.value, u)
+        except SelectionChanged:
+            return None
         ag = float(np.sum(tensor.grad * u))
-        fd = (ends[0] - ends[1]) / (2.0 * step)
         scale = max(abs(ag), abs(fd), gc.SCALE_FLOOR * np.linalg.norm(tensor.grad),
                     ROUND_OFF_FLOOR)
         errors[name] = abs(ag - fd) / scale
@@ -99,6 +105,8 @@ def directional_errors(seed, d_a, d_c, h_f, m, k, pooling, top_n, step=1e-4):
 @given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(2, 12), d_c=st.integers(1, 8),
        h_f=st.integers(1, 8), m=st.integers(2, 4), k=st.sampled_from([4, 6, 10]),
        pooling=st.sampled_from(POOLING_MODES), top_n=st.integers(1, 120))
+# a plain central difference at step 1e-4 erred by 2.85e-4 on vf here
+@example(seed=8, d_a=2, d_c=1, h_f=8, m=2, k=6, pooling="attention", top_n=2)
 @settings(max_examples=250, deadline=None)
 def test_directional_derivatives_match_across_shapes(seed, d_a, d_c, h_f, m, k, pooling,
                                                      top_n):

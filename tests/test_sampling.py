@@ -137,7 +137,8 @@ class TestDrawBatch:
         stack = pairs.enroll
         # (G, R, K/2): the groups hold the bona-fide rows only, so entry s
         # of set r is a bona-fide row the set keeps where it is unmasked
-        assert np.array_equal(stack.embeddings.reshape(-1, 4), pairs.test_asv[pairs.bonafide])
+        bonafide = pool.bonafide[batch.rows].reshape(-1)
+        assert np.array_equal(stack.embeddings.reshape(-1, 4), pairs.test_asv[bonafide])
         assert (~stack.masked).any(axis=-1).all()
 
 
@@ -284,7 +285,7 @@ class TestTrainingPool:
             [u.asv_embedding.values for u in utterances]).tobytes()
         assert pairs.test_cm.tobytes() == np.array(
             [u.cm_embedding.values for u in utterances]).tobytes()
-        assert pairs.bonafide.tolist() == [u.bonafide for u in utterances]
+        assert pool.bonafide[batch.rows].reshape(-1).tolist() == [u.bonafide for u in utterances]
 
 
 class TestExpandPairs:
@@ -376,11 +377,12 @@ class TestExpandPairs:
     @pytest.mark.parametrize("m, k", [(3, 4), (4, 6), (16, 10)])
     def test_groups_hold_only_distinct_bonafide_sets(self, m, k):
         pool = make_pool(m + 1, k // 2 + 1, k // 2 + 1)
-        pairs = sm.expand_pairs(sm.draw_batch(pool, m, k, np.random.default_rng(k)))
+        batch = sm.draw_batch(pool, m, k, np.random.default_rng(k))
+        pairs = sm.expand_pairs(batch)
         stack = pairs.enroll
         assert stack.masked.shape == (m, k // 2 + 1, k // 2)
-        assert np.array_equal(stack.embeddings,
-                              pairs.test_asv[pairs.bonafide].reshape(m, k // 2, -1))
+        bonafide = pool.bonafide[batch.rows].reshape(-1)
+        assert np.array_equal(stack.embeddings, pairs.test_asv[bonafide].reshape(m, k // 2, -1))
         for masks in stack.masked:
             assert len({mask.tobytes() for mask in masks}) == len(masks)
 

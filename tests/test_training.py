@@ -220,10 +220,12 @@ def loss_and_grads(loss_fn, pairs, config, seed):
     return loss.item(), selected, {n: t.grad.copy() for n, t in params.parameters()}
 
 
-def k_slot_layout(pairs, m, k):
+def k_slot_layout(pairs, bonafide):
     """The pairs under the K-slot enrollment layout: group n holds all K
-    rows of speaker n, and set n*K + j masks its spoofed slots and slot j."""
-    masked = ~pairs.bonafide.reshape(m, 1, k) | np.eye(k, dtype=bool)
+    rows of speaker n, and set n*K + j masks its spoofed slots and slot j.
+    bonafide (M, K) flags the batch's rows."""
+    m, k = bonafide.shape
+    masked = ~bonafide[:, None] | np.eye(k, dtype=bool)
     test_row, speaker = np.divmod(np.arange(m * k * m), m)
     enroll = EnrollmentStack(pairs.test_asv.reshape(m, k, -1), masked)
     return dataclasses.replace(pairs, enroll=enroll, enroll_set=speaker * k + test_row % k)
@@ -263,11 +265,13 @@ class TestBatchedForward:
         """Holding only the bona-fide rows, under K/2 + 1 sets per speaker,
         computes the loss of the layout that holds all K rows under K sets."""
         rng = np.random.default_rng(m * k)
-        pairs = expand_pairs(draw_batch(random_pool(rng, m + 1, k // 2), m, k, rng))
+        batch = draw_batch(random_pool(rng, m + 1, k // 2), m, k, rng)
+        pairs = expand_pairs(batch)
         config = tr.TrainConfig(hard_negative_top_n=2 * m * k, pooling=pooling, hidden_dim=3,
                                 speakers_per_batch=m, utterances_per_speaker=k)
+        k_slot = k_slot_layout(pairs, batch.pool.bonafide[batch.rows])
         self.assert_same(loss_and_grads(tr.batch_loss, pairs, config, k),
-                         loss_and_grads(tr.batch_loss, k_slot_layout(pairs, m, k), config, k))
+                         loss_and_grads(tr.batch_loss, k_slot, config, k))
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     def test_spoofed_enrollment_content_cannot_leak(self, pooling):
@@ -278,13 +282,15 @@ class TestBatchedForward:
         rows, so the swap runs on the K-slot layout, whose groups hold them
         masked."""
         rng = np.random.default_rng(31)
-        drawn = expand_pairs(draw_batch(random_pool(rng, 5, 3), 4, 6, rng))
+        batch = draw_batch(random_pool(rng, 5, 3), 4, 6, rng)
+        drawn = expand_pairs(batch)
+        bonafide = batch.pool.bonafide[batch.rows]
         assert np.array_equal(drawn.enroll.embeddings.reshape(-1, 6),
-                              drawn.test_asv[drawn.bonafide])
+                              drawn.test_asv[bonafide.reshape(-1)])
         config = tr.TrainConfig(hard_negative_top_n=30, pooling=pooling, hidden_dim=3,
                                 speakers_per_batch=4, utterances_per_speaker=6)
-        pairs = k_slot_layout(drawn, 4, 6)
-        spoofed = ~pairs.bonafide.reshape(4, 6)
+        pairs = k_slot_layout(drawn, bonafide)
+        spoofed = ~bonafide
         swapped = pairs.enroll.embeddings.copy()
         swapped[spoofed] = rng.standard_normal((spoofed.sum(), 6)) * rng.uniform(1, 50)
         fake = dataclasses.replace(
