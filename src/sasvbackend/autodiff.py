@@ -1,12 +1,17 @@
 """Minimal reverse-mode autodiff over dense float64 arrays.
 
+The training step does not run on these generic ops: each back-end block
+records one tape entry whose hand-derived backward replays the ops'
+expressions (``record``), built from the numpy helpers below. The
+generic ops stay for the tests, which compose them into an independent
+oracle of the step, and for the benchmark, which counts them by name.
+
 A tensor is a 2-D matrix (vectors are 1 x n rows, scalars are 1 x 1), a
 1-D column holding one value per trial, or a stack of matrices with one or
 two leading batch axes (at most 4 axes). Operations record backward
-closures on a ``Tape``;
-``Tape.backward`` replays them in reverse execution order, which makes
-repeated backward passes over the same forward computation bitwise
-identical.
+closures on a ``Tape``; ``Tape.backward`` replays them in reverse
+execution order, which makes repeated backward passes over the same
+forward computation bitwise identical.
 
 Broadcasting follows numpy in the elementwise ops and in ``matmul``'s
 batch axes, with one addition: a 1 x 1 tensor acts as a scalar against any
@@ -15,21 +20,28 @@ Every gradient is summed back to its operand's shape. ``reshape`` regroups
 a tensor's values under another shape. ``pair_dot`` takes dot products of
 indexed row pairs without putting the rows on the tape.
 
-Not a general autodiff library: no views, no higher-order gradients.
-Arrays are immutable values as far as the ops are concerned and are safe
-to share across threads for read-only scoring.
+Not a general autodiff library: no higher-order gradients. Parameters
+are views of one flat vector (``flat_parameters``) whose gradients are
+views of a second one, accumulated in place; every other array is an
+immutable value as far as the ops are concerned, safe to share across
+threads for read-only scoring.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 
 import numpy as np
 
 
 # pairs whose rows pair_dot picks at a time: two blocks of rows stay in
-# cache where two P x d copies would not
-PAIR_BLOCK = 256
+# cache where two P x d copies would not. The values do not depend on it
+# (each pair is its own einsum row). Whether glibc maps and trims a
+# block's two row copies (2 x 196 KB at 192-d) on every block depends on
+# the heap's history, so the cost of a size varies between processes;
+# 128 was not slower than 256 in any process measured
+PAIR_BLOCK = 128
 
 
 class ShapeError(ValueError):
@@ -85,6 +97,27 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}, tracked={self.tape is not None})"
 
 
+class Parameter(Tensor):
+    """A leaf tensor whose gradient lives in a fixed buffer, typically a
+    view of a flat gradient vector: gradients accumulate into it in place,
+    and assigning .grad copies into it."""
+
+    __slots__ = ("_grad",)
+
+    def __init__(self, value: np.ndarray, grad: np.ndarray, tape: "Tape | None" = None):
+        self.value = value
+        self._grad = grad
+        self.tape = tape
+
+    @property
+    def grad(self) -> np.ndarray:
+        return self._grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        self._grad[...] = g
+
+
 class Tape:
     """Execution-ordered record of tracked operations plus registered parameters.
 
@@ -97,12 +130,14 @@ class Tape:
     def __init__(self):
         self._records: list[tuple[Tensor, callable]] = []
         self._params: list[weakref.ref] = []
+        self._grads: list[np.ndarray] = []
 
     def parameter(self, value) -> Tensor:
-        """Create a tracked parameter whose gradient is accumulated by backward()."""
-        t = Tensor(value, tape=self)
-        self._params.append(weakref.ref(t))
-        return t
+        """Create a tracked parameter (a view of value's array) whose
+        gradient is accumulated by backward()."""
+        value = _as_array(value)
+        (p,), _ = flat_parameters(value.reshape(-1), [value.shape], self)
+        return p
 
     @property
     def parameters(self) -> list[Tensor]:
@@ -118,17 +153,18 @@ class Tape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(param) into each registered parameter's .grad.
 
-        Gradients are reset first, then accumulated in reverse execution
-        order, so two backward passes over the same forward computation give
+        Every gradient vector is zeroed in place first, then the records'
+        backwards run in reverse execution order and add into it in place,
+        so two backward passes over the same forward computation give
         bitwise-identical results. Parameters untouched by the computation
-        end up with all-zero gradient buffers.
+        keep all-zero gradients.
         """
         if loss.tape is not self:
             raise TrackingError("loss is not tracked on this tape")
         if loss.value.size != 1:
             raise ShapeError(f"loss must be a single value, got shape {loss.shape}")
-        for p in self.parameters:
-            p.grad = np.zeros_like(p.value)
+        for grad in self._grads:
+            grad.fill(0.0)
         for out, _ in self._records:
             out.grad = None
         loss.grad = np.ones_like(loss.value)
@@ -136,6 +172,32 @@ class Tape:
             if out.grad is None:
                 continue  # nothing downstream consumed this value
             backward_fn(out.grad)
+
+
+def split(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive views of a 1-D vector, one per shape, covering all of it."""
+    views, start = [], 0
+    for shape in shapes:
+        stop = start + math.prod(shape)
+        views.append(vector[start:stop].reshape(shape))
+        start = stop
+    if start != vector.size:
+        raise ShapeError(f"shapes hold {start} values, the vector {vector.size}")
+    return views
+
+
+def flat_parameters(values: np.ndarray, shapes,
+                    tape: Tape | None = None) -> tuple[list[Tensor], np.ndarray]:
+    """Parameters that are consecutive views of the 1-D float64 vector
+    values, one per shape, and their gradient vector: zeros of the same
+    layout, whose views are the parameters' gradients. On a tape,
+    backward() zeroes that vector in place and accumulates into it."""
+    grad = np.zeros_like(values)
+    params = [Parameter(v, g, tape) for v, g in zip(split(values, shapes), split(grad, shapes))]
+    if tape is not None:
+        tape._grads.append(grad)
+        tape._params.extend(weakref.ref(p) for p in params)
+    return params, grad
 
 
 def _result_tape(*tensors: Tensor) -> Tape | None:
@@ -148,7 +210,7 @@ def _result_tape(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+def sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to an operand's shape."""
     if shape == (1, 1):
         return np.full((1, 1), g.sum())
@@ -158,11 +220,18 @@ def _sum_to(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    # gradient arrays are never written in place, so g may be shared as is
+def accumulate(t: Tensor, g: np.ndarray) -> None:
+    """Add g, summed down to t's shape, to t's gradient when t is tracked:
+    in place in a parameter's buffer; elsewhere by a new array, because
+    the gradient arrays of intermediate values may be shared."""
+    if t.tape is None:
+        return
     if g.shape != t.value.shape:
-        g = _sum_to(g, t.value.shape)
-    t.grad = g if t.grad is None else t.grad + g
+        g = sum_to(g, t.value.shape)
+    if type(t) is Parameter:
+        t._grad += g
+    else:
+        t.grad = g if t.grad is None else t.grad + g
 
 
 def _make(value: np.ndarray, tape: Tape | None) -> Tensor:
@@ -173,6 +242,11 @@ def _make(value: np.ndarray, tape: Tape | None) -> Tensor:
     return out
 
 
+def constant(value: np.ndarray) -> Tensor:
+    """An untracked tensor of the array value, its shape kept as is."""
+    return _make(value, None)
+
+
 def _op(value: np.ndarray, *inputs) -> Tensor:
     """Wrap an op's value; inputs are (tensor, grad_fn) pairs.
 
@@ -180,13 +254,22 @@ def _op(value: np.ndarray, *inputs) -> Tensor:
     adds grad_fn(g) to each tracked input, in input order. Untracked inputs
     (embeddings, constants) never have their gradient computed.
     """
-    tape = _result_tape(*(t for t, _ in inputs))
+    def backward(g):
+        for t, grad_fn in inputs:
+            if t.tape is not None:
+                accumulate(t, grad_fn(g))
+    return record(value, [t for t, _ in inputs], backward)
+
+
+def record(value: np.ndarray, inputs, backward) -> Tensor:
+    """Wrap a value computed from inputs as one tape entry, tracked when
+    any input is. backward(g), given the gradient of the value, must
+    accumulate() the gradient of every tracked input itself, so a whole
+    block of computation can record one entry with one hand-derived
+    backward."""
+    tape = _result_tape(*inputs)
     out = _make(value, tape)
     if tape is not None:
-        def backward(g):
-            for t, grad_fn in inputs:
-                if t.tape is not None:
-                    _accumulate(t, grad_fn(g))
         tape._record(out, backward)
     return out
 
@@ -276,10 +359,15 @@ def tanh(a: Tensor) -> Tensor:
     return _op(y, (a, lambda g: g * (1.0 - y * y)))
 
 
+def logistic(x: np.ndarray) -> np.ndarray:
+    """Elementwise 1 / (1 + exp(-x)); its gradient is g * y * (1 - y)."""
+    e = np.exp(-np.abs(x))  # in (0, 1], so nothing overflows at any |x|
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
     """Elementwise logistic function 1 / (1 + exp(-x))."""
-    e = np.exp(-np.abs(a.value))  # in (0, 1], so nothing overflows at any |x|
-    y = np.where(a.value >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = logistic(a.value)
     return _op(y, (a, lambda g: g * y * (1.0 - y)))
 
 
@@ -294,56 +382,78 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     return _op(np.clip(a.value, lo, hi), (a, lambda g: g * inside))
 
 
+def row_dots(av: np.ndarray, bv: np.ndarray) -> np.ndarray:
+    """Dot product along the last axis, broadcasting the other axes; the
+    last axis is dropped."""
+    if av.shape[-1] != bv.shape[-1]:
+        raise ShapeError(f"row_dot: row lengths differ, {av.shape} vs {bv.shape}")
+    try:
+        shape = np.broadcast_shapes(av.shape[:-1], bv.shape[:-1])
+    except ValueError:
+        raise ShapeError(f"row_dot: shapes {av.shape} and {bv.shape} do not broadcast") from None
+    # einsum reduces each row on its own, so a row's result does not depend
+    # on how many rows share the call
+    return np.einsum("...i,...i->...", av, bv).reshape(shape)
+
+
 def row_dot(a: Tensor, b: Tensor) -> Tensor:
     """Dot product along the last axis, broadcasting the other axes (a
     1 x n row meets every row of a stack). The last axis is dropped."""
-    if a.shape[-1] != b.shape[-1]:
-        raise ShapeError(f"row_dot: row lengths differ, {a.shape} vs {b.shape}")
-    try:
-        shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    except ValueError:
-        raise ShapeError(f"row_dot: shapes {a.shape} and {b.shape} do not broadcast") from None
     av, bv = a.value, b.value
 
     def grad_b(g):
         if bv.shape == (1, bv.shape[-1]):
             return g.reshape(1, -1) @ av.reshape(-1, av.shape[-1])
         return g[..., None] * av
-    # einsum reduces each row on its own, so a row's result does not depend
-    # on how many rows share the call
-    return _op(np.einsum("...i,...i->...", av, bv).reshape(shape),
-               (a, lambda g: g[..., None] * bv), (b, grad_b))
+    return _op(row_dots(av, bv), (a, lambda g: g[..., None] * bv), (b, grad_b))
 
 
-def pair_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
-    """Dot products of indexed row pairs, out[p] = a[ia[p]] . b[ib[p]], each
-    bitwise row_dot of its two rows. The rows are picked PAIR_BLOCK pairs at
-    a time. Backward sums each (i, j) pair's gradients in pair order into W
-    (len(a) x len(b)): W @ b and W.T @ a."""
+def pair_dots(av: np.ndarray, bv: np.ndarray, ia, ib) -> np.ndarray:
+    """Dot products of indexed row pairs, out[p] = av[ia[p]] . bv[ib[p]],
+    each bitwise row_dots of its two rows. The rows are picked PAIR_BLOCK
+    pairs at a time."""
     ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[1] or ia.shape != ib.shape:
-        raise ShapeError(f"pair_dot: rows {a.shape}, {b.shape} with indices {ia.shape}, {ib.shape}")
-    av, bv = a.value, b.value
+    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1] or ia.shape != ib.shape:
+        raise ShapeError(f"pair_dot: rows {av.shape}, {bv.shape} with indices {ia.shape}, "
+                         f"{ib.shape}")
     flat_a, flat_b = ia.reshape(-1), ib.reshape(-1)
     out = np.empty(flat_a.size)
     for s in range(0, flat_a.size, PAIR_BLOCK):
         block = slice(s, s + PAIR_BLOCK)
         out[block] = np.einsum("...i,...i->...", np.take(av, flat_a[block], axis=0),
                                np.take(bv, flat_b[block], axis=0))
+    return out.reshape(ia.shape)
 
-    def pair_weights(g):
-        return np.bincount((ia * len(bv) + ib).ravel(), weights=g.ravel(),
-                           minlength=len(av) * len(bv)).reshape(len(av), len(bv))
-    return _op(out.reshape(ia.shape),
-               (a, lambda g: pair_weights(g) @ bv), (b, lambda g: pair_weights(g).T @ av))
+
+def pair_weights(g: np.ndarray, ia, ib, n_a: int, n_b: int) -> np.ndarray:
+    """Each (i, j) pair's gradients summed in pair order into an n_a x n_b
+    matrix W: pair_dots' backward is W @ b for a and W.T @ a for b."""
+    return np.bincount((np.asarray(ia) * n_b + ib).ravel(), weights=g.ravel(),
+                       minlength=n_a * n_b).reshape(n_a, n_b)
+
+
+def pair_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
+    """Dot products of indexed row pairs, out[p] = a[ia[p]] . b[ib[p]] (see
+    pair_dots and pair_weights)."""
+    av, bv = a.value, b.value
+    out = pair_dots(av, bv, ia, ib)
+    return _op(out, (a, lambda g: pair_weights(g, ia, ib, len(av), len(bv)) @ bv),
+               (b, lambda g: pair_weights(g, ia, ib, len(av), len(bv)).T @ av))
+
+
+def row_norms(av: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, over the last axis; a zero norm raises
+    ValueError. The gradient is (g / n)[..., None] * av."""
+    n = np.sqrt(np.einsum("...i,...i->...", av, av))
+    if np.any(n == 0.0):  # a NaN row passes, for the caller's finiteness check
+        raise ValueError("norm of a zero row is not differentiable")
+    return n
 
 
 def norm(a: Tensor) -> Tensor:
     """Euclidean norm of each row, over the last axis. A zero row is rejected."""
     av = a.value
-    n = np.sqrt(np.einsum("...i,...i->...", av, av))
-    if np.any(n == 0.0):  # a NaN row passes, for the caller's finiteness check
-        raise ValueError("norm of a zero row is not differentiable")
+    n = row_norms(av)
     return _op(n, (a, lambda g: (g / n)[..., None] * av))
 
 
@@ -370,16 +480,46 @@ def gather(a: Tensor, index) -> Tensor:
     accumulates deterministically.
     """
     index = np.asarray(index, dtype=np.intp)
+    return _op(np.take(a.value, index, axis=0), (a, lambda g: scatter_rows(g, index, a.shape)))
 
-    def scatter(g):
-        picked = index.reshape(-1)
-        order = np.argsort(picked, kind="stable")
-        rows, starts = np.unique(picked[order], return_index=True)
-        g = g.reshape((-1,) + a.shape[1:])
-        ga = np.zeros_like(a.value)
-        ga[rows] = np.add.reduceat(g[order], starts, axis=0)
+
+def scatter_rows(g: np.ndarray, index, shape) -> np.ndarray:
+    """gather's backward: zeros of shape, plus the gradient of each picked
+    row summed in index order. An index already in order (a test row
+    repeated once per pair, say) is summed in contiguous runs, unsorted."""
+    picked = np.asarray(index, dtype=np.intp).reshape(-1)
+    g = g.reshape((-1,) + tuple(shape[1:]))
+    ga = np.zeros(shape)
+    if picked.size == 0:
         return ga
-    return _op(np.take(a.value, index, axis=0), (a, scatter))
+    if np.any(picked[1:] < picked[:-1]):
+        order = np.argsort(picked, kind="stable")
+        picked, g = picked[order], g[order]
+    starts = np.flatnonzero(np.concatenate(([True], picked[1:] != picked[:-1])))
+    ga[picked[starts]] = np.add.reduceat(g, starts, axis=0)
+    return ga
+
+
+def softmax_values(x: np.ndarray, mask=None) -> np.ndarray:
+    """softmax_masked's values: a softmax over the last axis that gives
+    exactly zero weight to masked entries (see softmax_masked)."""
+    mask = np.zeros(x.shape[-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    try:
+        if mask.ndim == 0 or mask.shape[-1] != x.shape[-1]:
+            raise ValueError
+        z = np.where(mask, -np.inf, x)
+    except ValueError:
+        raise ShapeError(
+            f"softmax_masked: mask shape {mask.shape} does not match logits {x.shape}") from None
+    if mask.all(axis=-1).any():  # every broadcast row is one of the mask's rows
+        raise DegenerateMaskError("softmax_masked: every entry of a row is masked")
+    w = np.exp(z - z.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per-row softmax jacobian applied to g; masked entries carry y == 0."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
 
 
 def softmax_masked(logits: Tensor, mask=None) -> Tensor:
@@ -393,19 +533,5 @@ def softmax_masked(logits: Tensor, mask=None) -> Tensor:
     shape. ``None`` means nothing is masked. Stabilized by subtracting each
     row's maximum over unmasked entries.
     """
-    x = logits.value
-    mask = np.zeros(x.shape[-1], dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
-    try:
-        if mask.ndim == 0 or mask.shape[-1] != x.shape[-1]:
-            raise ValueError
-        keep = ~np.broadcast_to(mask, np.broadcast_shapes(x.shape, mask.shape))
-    except ValueError:
-        raise ShapeError(
-            f"softmax_masked: mask shape {mask.shape} does not match logits {x.shape}") from None
-    if not keep.any(axis=-1).all():
-        raise DegenerateMaskError("softmax_masked: every entry of a row is masked")
-    z = np.where(keep, x, -np.inf)
-    w = np.exp(z - z.max(axis=-1, keepdims=True))
-    y = w / w.sum(axis=-1, keepdims=True)
-    # per-row softmax jacobian; masked entries carry y == 0
-    return _op(y, (logits, lambda g: y * (g - (g * y).sum(axis=-1, keepdims=True))))
+    y = softmax_values(logits.value, mask)
+    return _op(y, (logits, lambda g: softmax_grad(y, g)))

@@ -20,6 +20,13 @@ training a speaker's K/2 bona-fide utterances form one group whose
 R = K/2 + 1 sets each leave out one of them or none. Projections and
 attention logits are computed once per group; only the masked softmaxes
 and the pooling weights are per set.
+
+The blocks (pool_enrollments, asv_probability, cm_probability, fuse)
+compute in plain numpy. With tracked parameters each records one tape
+entry, whose hand-derived backward replays the backward expressions of
+the generic autodiff ops in their reverse order, so its gradients equal
+theirs bit for bit, and adds them in place into the parameters' flat
+gradient vector.
 """
 
 from __future__ import annotations
@@ -144,7 +151,7 @@ def _shapes(d_a: int, d_c: int, h_f: int) -> dict[str, tuple[int, int]]:
     }
 
 
-_PARAM_NAMES = tuple(_shapes(1, 1, 1))
+PARAM_NAMES = tuple(_shapes(1, 1, 1))
 
 # start values of the parameters that init does not draw at random; the
 # fusion starts at w1 = w2 = 1, v = -1 so that fuse(0.5, 0.5) gives 0.5
@@ -152,26 +159,25 @@ _FIXED_INIT = {"bf": 0.0, "a": 1.0, "b": 0.0, "b_cm": 0.0, "w1": 1.0, "w2": 1.0,
 
 
 class BackendParams:
-    """All trainable weights of the back-end.
+    """All trainable weights of the back-end, in one float64 vector.
 
-    Shapes are fixed at construction from (d_a, d_c, h_f). Tensors are
+    Shapes are fixed at construction from (d_a, d_c, h_f). values holds
+    the 13 parameters in parameter order, and each named parameter
+    (params.Wq, ...) is a view of it; grad is their gradient vector of the
+    same layout, whose views are the parameters' .grad. The parameters are
     tape-tracked when a tape is supplied, plain values otherwise. pooling is
     the mode the weights are trained for, or None where it is not known.
     """
 
-    def __init__(self, d_a: int, d_c: int, h_f: int, tensors: dict[str, Tensor],
-                 pooling: str | None = None):
+    def __init__(self, d_a: int, d_c: int, h_f: int, values: np.ndarray,
+                 pooling: str | None = None, tape: Tape | None = None):
         self.d_a = d_a
         self.d_c = d_c
         self.h_f = h_f
         self.pooling = pooling
-        expected = _shapes(d_a, d_c, h_f)
-        for name in _PARAM_NAMES:
-            t = tensors[name]
-            if t.shape != expected[name]:
-                raise ad.ShapeError(
-                    f"parameter {name}: expected shape {expected[name]}, got {t.shape}"
-                )
+        self.values = values
+        tensors, self.grad = ad.flat_parameters(values, _shapes(d_a, d_c, h_f).values(), tape)
+        for name, t in zip(PARAM_NAMES, tensors):
             setattr(self, name, t)
 
     @classmethod
@@ -180,25 +186,21 @@ class BackendParams:
         """Fresh parameters: the _FIXED_INIT start values, every other
         weight uniform(+-1/sqrt(fan_in)) with fan_in its shape's columns,
         drawn in parameter order."""
-        values = {}
+        values = []
         for name, shape in _shapes(d_a, d_c, h_f).items():
             if name in _FIXED_INIT:
-                values[name] = np.full(shape, _FIXED_INIT[name])
+                values.append(np.full(shape, _FIXED_INIT[name]))
             else:
                 bound = 1.0 / math.sqrt(shape[1])
-                values[name] = rng.uniform(-bound, bound, size=shape)
-        make = tape.parameter if tape is not None else Tensor
-        return cls(d_a, d_c, h_f, {k: make(v) for k, v in values.items()}, pooling)
+                values.append(rng.uniform(-bound, bound, size=shape))
+        return cls(d_a, d_c, h_f, np.concatenate([v.reshape(-1) for v in values]), pooling, tape)
 
     def parameters(self) -> list[tuple[str, Tensor]]:
-        return [(name, getattr(self, name)) for name in _PARAM_NAMES]
+        return [(name, getattr(self, name)) for name in PARAM_NAMES]
 
     def detach(self) -> "BackendParams":
-        """Untracked view sharing the same arrays; safe for scoring."""
-        return BackendParams(
-            self.d_a, self.d_c, self.h_f,
-            {name: t.detach() for name, t in self.parameters()}, self.pooling,
-        )
+        """Untracked view sharing the same value vector; safe for scoring."""
+        return BackendParams(self.d_a, self.d_c, self.h_f, self.values, self.pooling)
 
     def save(self, path) -> None:
         """Write the versioned binary checkpoint; round-trips bit-exactly.
@@ -254,7 +256,7 @@ class BackendParams:
                     raise ValueError(f"{path}: unknown pooling mode {pooling!r}")
             expected = _shapes(d_a, d_c, h_f)
             tensors = {}
-            for i in range(len(_PARAM_NAMES)):
+            for i in range(len(PARAM_NAMES)):
                 name = read_name(f"parameter {i}")
                 if name not in expected or name in tensors:
                     kind = "repeated" if name in tensors else "unknown"
@@ -264,13 +266,21 @@ class BackendParams:
                     raise ValueError(f"{path}: parameter {name} has shape {shape}, "
                                      f"expected {expected[name]}")
                 raw = read(shape[0] * shape[1] * 8, f"parameter {name}")
-                value = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                value = np.frombuffer(raw, dtype="<f8").reshape(shape)
                 if not np.all(np.isfinite(value)):
                     raise ValueError(f"{path}: parameter {name} has non-finite values")
-                tensors[name] = Tensor(value)
+                tensors[name] = value
             if f.read(1):
                 raise ValueError(f"{path}: trailing bytes after parameters")
-        return cls(d_a, d_c, h_f, tensors, pooling)
+        return cls(d_a, d_c, h_f, np.concatenate([tensors[name].reshape(-1)
+                                                  for name in PARAM_NAMES]), pooling)
+
+
+def tanh_grad(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The gradient g passed back through y = tanh(x). pool_enrollments'
+    backward calls it through this module, so that a check can plant a
+    wrong derivative there."""
+    return g * (1.0 - y * y)
 
 
 def pool_enrollments(params: BackendParams, stack: EnrollmentStack) -> Tensor:
@@ -283,27 +293,62 @@ def pool_enrollments(params: BackendParams, stack: EnrollmentStack) -> Tensor:
     alpha O = (alpha A) V + alpha E, no set's K x d_a output O is formed.
     Masked entries get exactly zero weight in both softmaxes, so a set's
     result is independent of the (finite) content of its masked entries.
+
+    The block is one tape entry. Its backward is derived by hand and
+    replays, in reverse order, the backward expressions of the autodiff
+    ops that spell the same forward, so its gradients are theirs bit for
+    bit.
     """
     g, r, k = stack.masked.shape
-    E = stack.embeddings
-    X = Tensor(E)
+    E = np.ascontiguousarray(stack.embeddings, dtype=np.float64)
+    d_a, h_f = params.d_a, params.h_f
+    if E.shape[-1] != d_a:
+        raise ad.ShapeError(f"enrollment embeddings {E.shape} are not {d_a}-d")
+    rows = E.reshape(-1, d_a)
+    Wf_t = np.ascontiguousarray(params.Wf.value.T)
+    vf = params.vf.value
+    scale = 1.0 / math.sqrt(d_a)
 
     # scaled-dot self-attention with residual, one softmax per set
-    Q = ad.matmul(X, params.Wq)
-    K = ad.matmul(X, params.Wk)
-    V = ad.matmul(X, params.Wv)
-    scores = ad.affine(ad.matmul(Q, ad.transpose(K)), 1.0 / math.sqrt(params.d_a))
-    A = ad.softmax_masked(ad.reshape(scores, (g, 1, k, k)), stack.masked[:, :, None, :])
+    Q = (rows @ params.Wq.value).reshape(E.shape)
+    K_t = np.ascontiguousarray(np.swapaxes((rows @ params.Wk.value).reshape(E.shape), -1, -2))
+    V = (rows @ params.Wv.value).reshape(E.shape)
+    A = ad.softmax_values((scale * (Q @ K_t) + 0.0).reshape(g, 1, k, k),
+                          stack.masked[:, :, None, :])
 
     # feed-forward self-attention pooling over the SDSA outputs O = A V + E
-    Wf_t = ad.transpose(params.Wf)
-    VW = ad.reshape(ad.matmul(V, Wf_t), (g, 1, k, params.h_f))
-    EW = ad.add(ad.matmul(Tensor(E[:, None]), Wf_t), params.bf)
-    hidden = ad.tanh(ad.add(ad.matmul(A, VW), EW))
-    alpha = ad.softmax_masked(ad.row_dot(hidden, params.vf), stack.masked)
-    alpha_A = ad.reshape(ad.matmul(ad.reshape(alpha, (g, r, 1, k)), A), (g, r, k))
-    h = ad.add(ad.matmul(alpha_A, V), ad.matmul(alpha, X))
-    return ad.reshape(h, (g * r, params.d_a))
+    VW = (V.reshape(-1, d_a) @ Wf_t).reshape(g, 1, k, h_f)
+    EW = (rows @ Wf_t).reshape(g, 1, k, h_f) + params.bf.value
+    hidden = np.tanh(A @ VW + EW)
+    alpha = ad.softmax_values(ad.row_dots(hidden, vf), stack.masked)
+    alpha_row = alpha.reshape(g, r, 1, k)
+    alpha_A = (alpha_row @ A).reshape(g, r, k)
+    h = (alpha_A @ V + alpha @ E).reshape(g * r, d_a)
+
+    def backward(grad):
+        d_h = grad.reshape(g, r, d_a)
+        d_alpha = d_h @ np.swapaxes(E, -1, -2)
+        d_alpha_A = (d_h @ np.swapaxes(V, -1, -2)).reshape(g, r, 1, k)
+        d_V = np.swapaxes(alpha_A, -1, -2) @ d_h
+        d_A = np.swapaxes(alpha_row, -1, -2) @ d_alpha_A
+        d_alpha = d_alpha + (d_alpha_A @ np.swapaxes(A, -1, -2)).reshape(g, r, k)
+        d_logits = ad.softmax_grad(alpha, d_alpha)
+        ad.accumulate(params.vf, d_logits.reshape(1, -1) @ hidden.reshape(-1, h_f))
+        d_pre = tanh_grad(d_logits[..., None] * vf, hidden)
+        d_EW = ad.sum_to(d_pre, EW.shape)
+        d_A = d_A + d_pre @ np.swapaxes(VW, -1, -2)
+        d_VW = ad.sum_to(np.swapaxes(A, -1, -2) @ d_pre, VW.shape).reshape(-1, h_f)
+        ad.accumulate(params.bf, d_EW)
+        d_Wf_t = rows.T @ d_EW.reshape(-1, h_f)
+        d_V = d_V + (d_VW @ Wf_t.T).reshape(E.shape)
+        d_Wf_t = d_Wf_t + V.reshape(-1, d_a).T @ d_VW
+        ad.accumulate(params.Wf, np.ascontiguousarray(d_Wf_t.T))
+        d_QK = scale * ad.sum_to(ad.softmax_grad(A, d_A), (g, 1, k, k)).reshape(g, k, k)
+        d_K = np.ascontiguousarray(np.swapaxes(np.swapaxes(Q, -1, -2) @ d_QK, -1, -2))
+        for weight, d_out in ((params.Wv, d_V), (params.Wk, d_K),
+                              (params.Wq, d_QK @ np.swapaxes(K_t, -1, -2))):
+            ad.accumulate(weight, rows.T @ d_out.reshape(-1, d_a))
+    return ad.record(h, [params.Wq], backward)
 
 
 def average_pool(stack: EnrollmentStack) -> Tensor:
@@ -318,31 +363,74 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
                     test_row=None, enroll_set=None) -> tuple[Tensor, Tensor, Tensor]:
     """Calibrated cosine head of row test_row[p] of q_asv against row
     enroll_set[p] of h, with one norm per row; by default row i meets row i
-    and a single row meets every row. Returns (cos, s_asv, P_asv) per pair."""
+    and a single row meets every row. Returns (cos, s_asv, P_asv) per pair.
+
+    One tape entry, whose backward replays the autodiff ops' expressions
+    (see pool_enrollments): only P_asv is tracked, and its gradient
+    reaches a, b and a tracked h. q_asv is data and gets none."""
     if test_row is None:
         test_row, enroll_set = np.broadcast_arrays(np.arange(len(q_asv.value)),
                                                    np.arange(len(h.value)))
-    if not np.all(np.any(q_asv.value, axis=-1)):
+    q, hv = q_asv.value, h.value
+    if not np.all(np.any(q, axis=-1)):
         raise ZeroNormError("test ASV embedding has zero norm")
-    if not np.all(np.any(h.value, axis=-1)):
+    if not np.all(np.any(hv, axis=-1)):
         raise ZeroNormError("speaker representative vector has zero norm")
-    norms = ad.mul(ad.gather(ad.norm(q_asv), test_row), ad.gather(ad.norm(h), enroll_set))
-    cos = ad.div(ad.pair_dot(q_asv, h, test_row, enroll_set), norms)
-    s_asv = ad.add(ad.mul(params.a, cos), params.b)
-    return cos, s_asv, ad.sigmoid(s_asv)
+    test_norms = np.take(ad.row_norms(q), test_row, axis=0)
+    set_norms = ad.row_norms(hv)
+    norms = test_norms * np.take(set_norms, enroll_set, axis=0)
+    dots = ad.pair_dots(q, hv, test_row, enroll_set)
+    cos = dots / norms
+    a = params.a.value.reshape(())
+    s_asv = a * cos + params.b.value.reshape(())
+    p_asv = ad.logistic(s_asv)
+
+    def backward(grad):
+        d_s = grad * p_asv * (1.0 - p_asv)
+        ad.accumulate(params.b, d_s)
+        ad.accumulate(params.a, d_s * cos)
+        if h.tape is None:
+            return
+        d_cos = d_s * a
+        d_norms = -d_cos * dots / (norms * norms)
+        ad.accumulate(h, ad.pair_weights(d_cos / norms, test_row, enroll_set,
+                                         len(q), len(hv)).T @ q)
+        d_set_norms = ad.scatter_rows(d_norms * test_norms, enroll_set, set_norms.shape)
+        ad.accumulate(h, (d_set_norms / set_norms)[..., None] * hv)
+    return ad.constant(cos), ad.constant(s_asv), ad.record(p_asv, [params.a, h], backward)
 
 
 def cm_probability(params: BackendParams, q_cm: Tensor) -> tuple[Tensor, Tensor]:
     """Linear countermeasure head over the rows of q_cm: returns (s_cm, P_cm),
-    one entry per row."""
-    s_cm = ad.add(ad.row_dot(q_cm, params.w_cm), params.b_cm)
-    return s_cm, ad.sigmoid(s_cm)
+    one entry per row. One tape entry: only P_cm is tracked (see
+    asv_probability)."""
+    q = q_cm.value
+    s_cm = ad.row_dots(q, params.w_cm.value) + params.b_cm.value.reshape(())
+    p_cm = ad.logistic(s_cm)
+
+    def backward(grad):
+        d_s = grad * p_cm * (1.0 - p_cm)
+        ad.accumulate(params.b_cm, d_s)
+        ad.accumulate(params.w_cm, d_s.reshape(1, -1) @ q.reshape(-1, q.shape[-1]))
+    return ad.constant(s_cm), ad.record(p_cm, [params.w_cm], backward)
 
 
 def fuse(params: BackendParams, P_cm: Tensor, P_asv: Tensor) -> tuple[Tensor, Tensor]:
-    """Learnable fusion of the two probabilities: returns (s, P)."""
-    s = ad.add(ad.add(ad.mul(params.w1, P_cm), ad.mul(params.w2, P_asv)), params.v)
-    return s, ad.sigmoid(s)
+    """Learnable fusion of the two probabilities: returns (s, P). One tape
+    entry: only P is tracked, and its gradient reaches the fusion weights
+    and tracked P_cm and P_asv."""
+    w1, w2 = params.w1.value.reshape(()), params.w2.value.reshape(())
+    s = w1 * P_cm.value + w2 * P_asv.value + params.v.value.reshape(())
+    p = ad.logistic(s)
+
+    def backward(grad):
+        d_s = grad * p * (1.0 - p)
+        ad.accumulate(params.v, d_s)
+        ad.accumulate(params.w2, d_s * P_asv.value)
+        ad.accumulate(P_asv, d_s * w2)
+        ad.accumulate(params.w1, d_s * P_cm.value)
+        ad.accumulate(P_cm, d_s * w1)
+    return ad.constant(s), ad.record(p, [params.w1, P_cm, P_asv], backward)
 
 
 @dataclass(frozen=True, eq=False)

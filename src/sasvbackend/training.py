@@ -7,6 +7,11 @@ backpropagates the mean loss over the kept pairs through SGD with momentum
 and coupled L2 weight decay. The learning rate decays by a fixed factor at
 every epoch end. train() is the epoch loop over start()'s run and step().
 
+A step's tape holds one record per back-end block plus one for the loss
+(six at attention pooling). Parameters, gradients and velocities each
+live in one flat vector (BackendParams.values and .grad, the optimizer's
+velocity), which backward and sgd_step update in place.
+
 The whole loop is deterministic for a given seed: parameter init, batch
 draws and gradient accumulation all run in a fixed order.
 """
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Tensor
-from .backend import BackendParams, POOLING_MODES, forward_batch
+from .backend import PARAM_NAMES, BackendParams, POOLING_MODES, forward_batch
 from .metrics import EerReport, evaluate
 from .sampling import PairBatch, TrainingPool, draw_batch, eligible_speakers, expand_pairs
 from .scoring import score_trials
@@ -79,8 +84,19 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
+    """SGD momentum state. velocities, one array per parameter group by
+    name, become views of velocity, one vector in BackendParams' layout;
+    scratch is the step's one work vector."""
+
     velocities: dict[str, np.ndarray]
     learning_rate: float
+
+    def __post_init__(self):
+        arrays = [np.asarray(self.velocities[name], dtype=np.float64) for name in PARAM_NAMES]
+        self.velocity = np.concatenate([v.reshape(-1) for v in arrays])
+        self.scratch = np.empty_like(self.velocity)
+        self.velocities = dict(zip(PARAM_NAMES, ad.split(self.velocity,
+                                                         [v.shape for v in arrays])))
 
 
 @dataclass(frozen=True)
@@ -124,12 +140,23 @@ class StepRecord(NamedTuple):
     selected: int
 
 
+def _bce(p: np.ndarray, positive) -> tuple[np.ndarray, callable]:
+    """bce_loss's values, and the function that takes their gradient back
+    to p's."""
+    positive = np.asarray(positive, dtype=bool)
+    sign = np.where(positive, 1.0, -1.0)
+    prob = sign * p + np.where(positive, 0.0, 1.0)
+    inside = (prob >= BCE_CLAMP) & (prob <= 1.0 - BCE_CLAMP)
+    clamped = np.clip(prob, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    return -1.0 * np.log(clamped) + 0.0, lambda g: sign * (-1.0 * g / clamped * inside)
+
+
 def bce_loss(p: Tensor, positive) -> Tensor:
     """Per-entry BCE: -log p where positive, -log(1-p) elsewhere, clamped
-    away from 0. positive is one flag or one flag per entry of p."""
-    positive = np.asarray(positive, dtype=bool)
-    prob = ad.affine(p, np.where(positive, 1.0, -1.0), np.where(positive, 0.0, 1.0))
-    return ad.affine(ad.log(ad.clamp(prob, BCE_CLAMP, 1.0 - BCE_CLAMP)), -1.0)
+    away from 0. positive is one flag or one flag per entry of p. One tape
+    entry."""
+    losses, backward = _bce(p.value, positive)
+    return ad.record(losses, [p], lambda g: ad.accumulate(p, backward(g)))
 
 
 def select_hard(losses, positive_mask, top_n: int) -> list[int]:
@@ -147,17 +174,21 @@ def select_hard(losses, positive_mask, top_n: int) -> list[int]:
 
 def sgd_step(params: BackendParams, state: OptimizerState, config: TrainConfig,
              epoch=None, batch=None) -> None:
-    """v <- mu*v + (g + lambda*theta); theta <- theta - lr*v, in place."""
-    for name, tensor in params.parameters():
-        g = tensor.grad
-        if g is None:
-            raise TrainingDivergedError("missing gradient", epoch, batch, name)
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient", epoch, batch, name)
-        v = state.velocities[name]
-        v *= config.momentum
-        v += g + config.weight_decay * tensor.value
-        tensor.value -= state.learning_rate * v
+    """v <- mu*v + (g + lambda*theta); theta <- theta - lr*v, in place on
+    the flat vectors: params.grad, params.values and the state's velocity,
+    with its scratch vector as the only temporary. A non-finite gradient
+    raises TrainingDivergedError naming its first parameter group, before
+    anything is updated."""
+    g, theta, v, scratch = params.grad, params.values, state.velocity, state.scratch
+    if not np.isfinite(g).all():
+        name = next(name for name, t in params.parameters() if not np.isfinite(t.grad).all())
+        raise TrainingDivergedError("non-finite gradient", epoch, batch, name)
+    np.multiply(theta, config.weight_decay, out=scratch)
+    scratch += g
+    v *= config.momentum
+    v += scratch
+    np.multiply(v, state.learning_rate, out=scratch)
+    theta -= scratch
 
 
 def batch_loss(params: BackendParams, pairs: PairBatch,
@@ -166,14 +197,21 @@ def batch_loss(params: BackendParams, pairs: PairBatch,
 
     Returns the mean loss tensor (tracked whenever params are) and the
     selected pair indices. Selection is a 0/1 weight on each pair's loss,
-    so only the selected pairs contribute gradients.
+    so only the selected pairs contribute gradients. The BCE, selection
+    and mean are one tape entry after forward_batch's, whose backward
+    replays the autodiff ops' expressions, as the back-end blocks do.
     """
     scores = forward_batch(params, pairs, config.pooling)
-    losses = bce_loss(scores.p, pairs.positive)
-    selected = select_hard(losses.value, pairs.positive, config.hard_negative_top_n)
+    losses, bce_backward = _bce(scores.p.value, pairs.positive)
+    selected = select_hard(losses, pairs.positive, config.hard_negative_top_n)
     weights = np.zeros((1, len(pairs.positive)))
     weights[0, selected] = 1.0
-    return ad.affine(ad.row_dot(losses, Tensor(weights)), 1.0 / len(selected)), selected
+    scale = 1.0 / len(selected)
+
+    def backward(g):
+        d_losses = ad.sum_to((scale * g)[..., None] * weights, losses.shape)
+        ad.accumulate(scores.p, bce_backward(d_losses))
+    return ad.record(scale * ad.row_dots(losses, weights) + 0.0, [scores.p], backward), selected
 
 
 def start(pool: TrainingPool, config: TrainConfig) -> Run:
@@ -184,7 +222,7 @@ def start(pool: TrainingPool, config: TrainConfig) -> Run:
     tape = Tape()
     params = BackendParams.init(pool.asv.shape[1], pool.cm.shape[1], config.hidden_dim, rng,
                                 tape=tape, pooling=config.pooling)
-    velocities = {name: np.zeros_like(t.value) for name, t in params.parameters()}
+    velocities = {name: np.zeros(t.shape) for name, t in params.parameters()}
     return Run(pool, config, rng, tape, params, OptimizerState(velocities, config.learning_rate))
 
 

@@ -1,10 +1,13 @@
 """Independent reference implementations shared by the test suites.
 
 These deliberately avoid the library's fast code paths: plain counting
-loops, midpoint threshold sweeps, a per-pair training loss, a sampler that
-regroups its records on every draw and a per-value embedding parser, so
-they can serve as oracles for the implementations under test.
+loops, midpoint threshold sweeps, a per-pair training loss, the training
+step spelled in the generic autodiff ops, a sampler that regroups its
+records on every draw and a per-value embedding parser, so they can serve
+as oracles for the implementations under test.
 """
+
+import math
 
 import numpy as np
 
@@ -95,6 +98,51 @@ def per_pair_batch_loss(params, pairs, config, batch):
     for i in selected[1:]:
         total = ad.add(total, losses[i])
     return ad.affine(total, 1.0 / len(selected)), selected
+
+
+def tape_pool(params, stack):
+    """pool_enrollments spelled in the generic autodiff ops: 25 records."""
+    g, r, k = stack.masked.shape
+    E = stack.embeddings
+    X = ad.Tensor(E)
+    Q = ad.matmul(X, params.Wq)
+    K = ad.matmul(X, params.Wk)
+    V = ad.matmul(X, params.Wv)
+    scores = ad.affine(ad.matmul(Q, ad.transpose(K)), 1.0 / math.sqrt(params.d_a))
+    A = ad.softmax_masked(ad.reshape(scores, (g, 1, k, k)), stack.masked[:, :, None, :])
+    Wf_t = ad.transpose(params.Wf)
+    VW = ad.reshape(ad.matmul(V, Wf_t), (g, 1, k, params.h_f))
+    EW = ad.add(ad.matmul(ad.Tensor(E[:, None]), Wf_t), params.bf)
+    hidden = ad.tanh(ad.add(ad.matmul(A, VW), EW))
+    alpha = ad.softmax_masked(ad.row_dot(hidden, params.vf), stack.masked)
+    alpha_A = ad.reshape(ad.matmul(ad.reshape(alpha, (g, r, 1, k)), A), (g, r, k))
+    h = ad.add(ad.matmul(alpha_A, V), ad.matmul(alpha, X))
+    return ad.reshape(h, (g * r, params.d_a))
+
+
+def tape_batch_loss(params, pairs, config):
+    """The training step's loss spelled in the generic autodiff ops, one
+    record per op (49 at attention pooling): pooling, the calibrated-cosine
+    ASV head, the linear CM head, the fusion, per-pair BCE, hard selection
+    and the mean over the selected pairs. Returns (loss, selected) like
+    training.batch_loss."""
+    h = (tape_pool(params, pairs.enroll) if config.pooling == "attention"
+         else bk.average_pool(pairs.enroll))
+    q_asv = ad.Tensor(pairs.test_asv)
+    norms = ad.mul(ad.gather(ad.norm(q_asv), pairs.test_row),
+                   ad.gather(ad.norm(h), pairs.enroll_set))
+    cos = ad.div(ad.pair_dot(q_asv, h, pairs.test_row, pairs.enroll_set), norms)
+    p_asv = ad.sigmoid(ad.add(ad.mul(params.a, cos), params.b))
+    p_cm = ad.sigmoid(ad.add(ad.row_dot(ad.Tensor(pairs.test_cm), params.w_cm), params.b_cm))
+    p_cm = ad.gather(p_cm, pairs.test_row)
+    p = ad.sigmoid(ad.add(ad.add(ad.mul(params.w1, p_cm), ad.mul(params.w2, p_asv)), params.v))
+    positive = np.asarray(pairs.positive, dtype=bool)
+    prob = ad.affine(p, np.where(positive, 1.0, -1.0), np.where(positive, 0.0, 1.0))
+    losses = ad.affine(ad.log(ad.clamp(prob, tr.BCE_CLAMP, 1.0 - tr.BCE_CLAMP)), -1.0)
+    selected = tr.select_hard(losses.value, positive, config.hard_negative_top_n)
+    weights = np.zeros((1, len(positive)))
+    weights[0, selected] = 1.0
+    return ad.affine(ad.row_dot(losses, ad.Tensor(weights)), 1.0 / len(selected)), selected
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:

@@ -375,6 +375,17 @@ class TestPairDot:
         grid = ad.pair_dot(a, b, ia[:3 * cols].reshape(3, cols), ib[:3 * cols].reshape(3, cols))
         assert np.array_equal(grid.value, out[:3 * cols].reshape(3, cols))
 
+    @pytest.mark.parametrize("block", [1, 3, 128, 256])
+    def test_forward_is_bitwise_the_same_at_any_block_size(self, monkeypatch, block):
+        # 1,000 pairs fill no whole number of blocks of 3, 128 or 256
+        rng = np.random.default_rng(block)
+        a, b = ad.Tensor(rng.standard_normal((40, 192))), ad.Tensor(rng.standard_normal((30, 192)))
+        ia, ib = rng.integers(0, 40, 1000), rng.integers(0, 30, 1000)
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 1)
+        one_by_one = ad.pair_dot(a, b, ia, ib).value
+        monkeypatch.setattr(ad, "PAIR_BLOCK", block)
+        assert ad.pair_dot(a, b, ia, ib).value.tobytes() == one_by_one.tobytes()
+
 
 class TestDeterminism:
     def test_forward_ops_bitwise_deterministic(self):

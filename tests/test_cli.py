@@ -13,9 +13,9 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from test_gradcheck import UPSTREAM_OF_TANH, tanh_with_backward_scaled
+from test_gradcheck import UPSTREAM_OF_TANH, tanh_grad_scaled
 
-from sasvbackend import autodiff as ad
+from sasvbackend import backend as bk
 from sasvbackend import cli
 from sasvbackend import data as dio
 from sasvbackend import training
@@ -597,7 +597,7 @@ class TestGradcheck:
         assert out.out == "" and out.err.startswith("error: ") and message in out.err
 
     def test_failed_check_exits_6_naming_the_worst_group(self, monkeypatch, capsys):
-        monkeypatch.setattr(ad, "tanh", tanh_with_backward_scaled(-1.0))
+        monkeypatch.setattr(bk, "tanh_grad", tanh_grad_scaled(-1.0))
         assert cli.main(["gradcheck", "--seed", "0"]) == 6
         out = capsys.readouterr()
         assert "ok:" not in out.out

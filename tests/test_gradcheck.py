@@ -1,8 +1,9 @@
-"""The gradient check must flag a wrong backward closure.
+"""The gradient check must flag a wrong backward.
 
-A copy of ``autodiff.tanh`` with its backward closure scaled by a factor is
-planted in place of the real op. The forward values stay exact, so finite
-differences see the true gradient while the tape reports a wrong one.
+A tanh derivative scaled by a factor is planted in place of
+``backend.tanh_grad``, which the pooling block's backward calls. The
+forward values stay exact, so finite differences see the true gradient
+while the backward reports a wrong one.
 
 The directional check compares each parameter group's gradient along one
 random unit direction u with gradcheck's extrapolated central difference
@@ -16,6 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sasvbackend import autodiff as ad
+from sasvbackend import backend as bk
 from sasvbackend import gradcheck as gc
 from sasvbackend.backend import POOLING_MODES, BackendParams
 from sasvbackend.sampling import draw_batch, expand_pairs
@@ -24,19 +26,15 @@ from sasvbackend.training import TrainConfig, batch_loss
 UPSTREAM_OF_TANH = {"Wq", "Wk", "Wv", "Wf", "bf"}
 
 
-def tanh_with_backward_scaled(factor):
-    def tanh(a):
-        y = np.tanh(a.value)
-        out = ad._make(y, a.tape)
-        if a.tape is not None:
-            a.tape._record(out, lambda g: ad._accumulate(a, factor * g * (1.0 - y * y)))
-        return out
-    return tanh
+def tanh_grad_scaled(factor):
+    def tanh_grad(g, y):
+        return factor * g * (1.0 - y * y)
+    return tanh_grad
 
 
 @pytest.mark.parametrize("factor", [1.0, -1.0, 1.01])
 def test_planted_backward_bug_is_caught(monkeypatch, factor):
-    monkeypatch.setattr(ad, "tanh", tanh_with_backward_scaled(factor))
+    monkeypatch.setattr(bk, "tanh_grad", tanh_grad_scaled(factor))
     for seed in (0, 1):
         result = gc.gradient_check(seed=seed)
         flagged = {name for name, err in result.errors.items() if err >= result.tolerance}
@@ -118,7 +116,7 @@ def test_directional_derivatives_match_across_shapes(seed, d_a, d_c, h_f, m, k, 
 @pytest.mark.parametrize("factor", [-1.0, 1.01])
 @pytest.mark.parametrize("shape", [(0, 8, 6, 4, 2, 4), (1, 5, 3, 7, 3, 6)])
 def test_directional_check_catches_planted_bug(monkeypatch, factor, shape):
-    monkeypatch.setattr(ad, "tanh", tanh_with_backward_scaled(factor))
+    monkeypatch.setattr(bk, "tanh_grad", tanh_grad_scaled(factor))
     errors = directional_errors(*shape, "attention", 10)
     flagged = {name for name, err in errors.items() if err >= gc.TOLERANCE}
     assert {"Wf", "bf"} <= flagged <= UPSTREAM_OF_TANH, errors

@@ -8,10 +8,10 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import per_pair_batch_loss
+from oracles import per_pair_batch_loss, tape_batch_loss
 
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
@@ -302,6 +302,48 @@ class TestBatchedForward:
         assert len(grads) == 13
         for name in grads:
             assert np.array_equal(grads[name], grads2[name]), name
+
+
+class TestBlockBackward:
+    """Each back-end block records one tape entry with a hand-derived
+    backward. The step's loss, selection and gradients must equal, byte
+    for byte, those of the same composition spelled in the generic ops."""
+
+    @given(seed=st.integers(0, 2**32 - 1), d_a=st.integers(1, 12), d_c=st.integers(1, 8),
+           h_f=st.integers(1, 8), m=st.integers(2, 4), k=st.sampled_from([4, 6, 8, 10]),
+           pooling=st.sampled_from(["attention", "average"]), top_n=st.integers(1, 120))
+    # at h_f = 1, bf is 1 x 1 and its gradient is one full sum
+    @example(seed=0, d_a=5, d_c=3, h_f=1, m=3, k=6, pooling="attention", top_n=7)
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_the_generic_tape(self, seed, d_a, d_c, h_f, m, k, pooling, top_n):
+        rng = np.random.default_rng(seed)
+        pairs = expand_pairs(draw_batch(random_pool(rng, m, k // 2, d_a, d_c), m, k, rng))
+        config = tr.TrainConfig(hard_negative_top_n=top_n, pooling=pooling, hidden_dim=h_f,
+                                speakers_per_batch=m, utterances_per_speaker=k)
+        results = []
+        for loss_fn in (tr.batch_loss, tape_batch_loss):
+            tape = ad.Tape()
+            params = BackendParams.init(d_a, d_c, h_f, np.random.default_rng(seed), tape=tape)
+            loss, selected = loss_fn(params, pairs, config)
+            tape.backward(loss)
+            results.append((loss.value.tobytes(), selected,
+                            {n: t.grad.tobytes() for n, t in params.parameters()}))
+        (loss, selected, grads), (want, want_selected, want_grads) = results
+        assert loss == want and selected == want_selected
+        assert len(grads) == 13
+        for name in want_grads:
+            assert grads[name] == want_grads[name], name
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_step_records_one_entry_per_block(self, pooling):
+        rng = np.random.default_rng(3)
+        pairs = expand_pairs(draw_batch(random_pool(rng, 3, 2), 3, 4, rng))
+        config = tr.TrainConfig(hidden_dim=3, pooling=pooling, speakers_per_batch=3,
+                                utterances_per_speaker=4)
+        tape = ad.Tape()
+        tr.batch_loss(BackendParams.init(6, 4, 3, rng, tape=tape), pairs, config)
+        # pooling (attention only), ASV head, CM head, CM gather, fusion, loss
+        assert len(tape._records) == (6 if pooling == "attention" else 5)
 
 
 class TestTrain:
