@@ -60,19 +60,19 @@ def main():
 
     print("[4/4] scoring eval trials")
     systems = [
-        ("asv_only (attention)", "attention", "attention", "asv_only"),
-        ("score_sum", "attention", "attention", "score_sum"),
-        ("fused, avg pooling", "average", "average", "fused"),
-        ("fused, attention", "attention", "attention", "fused"),
+        ("asv_only (attention)", "attention", "asv_only"),
+        ("score_sum", "attention", "score_sum"),
+        ("fused, avg pooling", "average", "fused"),
+        ("fused, attention", "attention", "fused"),
     ]
     rows = []
-    for label, run_dir, pooling, scorer in systems:
+    for label, run_dir, scorer in systems:
         score_file = work / f"{run_dir}_{scorer}.tsv"
         run(["score", "--checkpoint", str(work / run_dir / "final.ckpt"),
              "--trials", str(corpus / "trials_eval.tsv"),
              "--asv-embeddings", str(corpus / "asv_embeddings.txt"),
              "--cm-embeddings", str(corpus / "cm_embeddings.txt"),
-             "--scorer", scorer, "--pooling", pooling,
+             "--scorer", scorer,
              "--out", str(score_file)])
         report = evaluate(dio.load_scores(score_file))
         rows.append((label, report))

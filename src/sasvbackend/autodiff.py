@@ -30,7 +30,6 @@ threads for read-only scoring.
 from __future__ import annotations
 
 import math
-import weakref
 
 import numpy as np
 
@@ -119,17 +118,16 @@ class Parameter(Tensor):
 
 
 class Tape:
-    """Execution-ordered record of tracked operations plus registered parameters.
+    """Execution-ordered record of tracked operations plus the gradient
+    vectors of the parameters tracked on it.
 
-    The tape holds its parameters by weak reference, because each of them
-    refers back to the tape: a dropped tape and its parameters are freed as
-    soon as nothing else refers to them, not at the next cyclic collection.
-    A parameter nothing else refers to leaves the tape.
+    The tape refers to no parameter, while each parameter refers to the
+    tape, so a dropped tape and its parameters are freed as soon as nothing
+    else refers to them, not at the next cyclic collection.
     """
 
     def __init__(self):
         self._records: list[tuple[Tensor, callable]] = []
-        self._params: list[weakref.ref] = []
         self._grads: list[np.ndarray] = []
 
     def parameter(self, value) -> Tensor:
@@ -139,19 +137,15 @@ class Tape:
         (p,), _ = flat_parameters(value.reshape(-1), [value.shape], self)
         return p
 
-    @property
-    def parameters(self) -> list[Tensor]:
-        return [p for p in (ref() for ref in self._params) if p is not None]
-
     def _record(self, out: Tensor, backward_fn) -> None:
         self._records.append((out, backward_fn))
 
     def clear(self) -> None:
-        """Drop recorded operations but keep registered parameters."""
+        """Drop recorded operations but keep the parameters' gradient vectors."""
         self._records.clear()
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(param) into each registered parameter's .grad.
+        """Accumulate d(loss)/d(param) into each tracked parameter's .grad.
 
         Every gradient vector is zeroed in place first, then the records'
         backwards run in reverse execution order and add into it in place,
@@ -196,7 +190,6 @@ def flat_parameters(values: np.ndarray, shapes,
     params = [Parameter(v, g, tape) for v, g in zip(split(values, shapes), split(grad, shapes))]
     if tape is not None:
         tape._grads.append(grad)
-        tape._params.extend(weakref.ref(p) for p in params)
     return params, grad
 
 

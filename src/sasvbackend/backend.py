@@ -51,12 +51,17 @@ class DegenerateEnrollmentError(ValueError):
 
 
 class ZeroNormError(ValueError):
-    """Cosine similarity was asked for a zero-norm vector."""
+    """Cosine similarity was asked for a zero-norm vector. row, when set, is
+    the first zero-norm row of the speaker representative vectors."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 CHECKPOINT_MAGIC = b"SASVBKND"
-# version 2 records the pooling mode the weights were trained with;
-# version 1 files, which do not, still load
+# the one format load() reads: it records the pooling mode after the
+# dimensions (version 1, which did not, is rejected)
 CHECKPOINT_VERSION = 2
 
 POOLING_MODES = ("attention", "average")
@@ -165,12 +170,14 @@ class BackendParams:
     the 13 parameters in parameter order, and each named parameter
     (params.Wq, ...) is a view of it; grad is their gradient vector of the
     same layout, whose views are the parameters' .grad. The parameters are
-    tape-tracked when a tape is supplied, plain values otherwise. pooling is
-    the mode the weights are trained for, or None where it is not known.
+    tape-tracked when a tape is supplied, plain values otherwise. pooling
+    (one of POOLING_MODES) is the mode the weights are trained for.
     """
 
     def __init__(self, d_a: int, d_c: int, h_f: int, values: np.ndarray,
-                 pooling: str | None = None, tape: Tape | None = None):
+                 pooling: str = "attention", tape: Tape | None = None):
+        if pooling not in POOLING_MODES:
+            raise ValueError(f"unknown pooling mode {pooling!r}, expected one of {POOLING_MODES}")
         self.d_a = d_a
         self.d_c = d_c
         self.h_f = h_f
@@ -182,7 +189,7 @@ class BackendParams:
 
     @classmethod
     def init(cls, d_a: int, d_c: int, h_f: int, rng: np.random.Generator,
-             tape: Tape | None = None, pooling: str | None = None) -> "BackendParams":
+             tape: Tape | None = None, pooling: str = "attention") -> "BackendParams":
         """Fresh parameters: the _FIXED_INIT start values, every other
         weight uniform(+-1/sqrt(fan_in)) with fan_in its shape's columns,
         drawn in parameter order."""
@@ -203,19 +210,16 @@ class BackendParams:
         return BackendParams(self.d_a, self.d_c, self.h_f, self.values, self.pooling)
 
     def save(self, path) -> None:
-        """Write the versioned binary checkpoint; round-trips bit-exactly.
-        The file is version 2, recording the pooling mode, when the mode is
-        known, and version 1 otherwise."""
+        """Write the CHECKPOINT_VERSION binary checkpoint, which records
+        the pooling mode; round-trips bit-exactly."""
 
         def name_field(name: str) -> bytes:
             encoded = name.encode("utf-8")
             return struct.pack("<I", len(encoded)) + encoded
-        version = 1 if self.pooling is None else CHECKPOINT_VERSION
         with open(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<IIII", version, self.d_a, self.d_c, self.h_f))
-            if self.pooling is not None:
-                f.write(name_field(self.pooling))
+            f.write(struct.pack("<IIII", CHECKPOINT_VERSION, self.d_a, self.d_c, self.h_f))
+            f.write(name_field(self.pooling))
             for name, t in self.parameters():
                 f.write(name_field(name))
                 f.write(struct.pack("<II", *t.shape))
@@ -223,8 +227,8 @@ class BackendParams:
 
     @classmethod
     def load(cls, path) -> "BackendParams":
-        """Read a checkpoint written by save(), of version 1 or 2; the
-        result's pooling is the recorded mode, None for version 1.
+        """Read a checkpoint written by save() (CHECKPOINT_VERSION only);
+        the result's pooling is the recorded mode.
 
         Raises ValueError naming the path on a bad magic or version, a short
         read, an unknown pooling mode, a missing, unknown or repeated
@@ -247,13 +251,11 @@ class BackendParams:
             if magic != CHECKPOINT_MAGIC:
                 raise ValueError(f"{path}: not a back-end checkpoint (bad magic {magic!r})")
             version, d_a, d_c, h_f = struct.unpack("<IIII", read(16, "the header"))
-            if version not in (1, CHECKPOINT_VERSION):
+            if version != CHECKPOINT_VERSION:
                 raise ValueError(f"{path}: unsupported checkpoint version {version}")
-            pooling = None
-            if version == CHECKPOINT_VERSION:
-                pooling = read_name("the pooling mode")
-                if pooling not in POOLING_MODES:
-                    raise ValueError(f"{path}: unknown pooling mode {pooling!r}")
+            pooling = read_name("the pooling mode")
+            if pooling not in POOLING_MODES:
+                raise ValueError(f"{path}: unknown pooling mode {pooling!r}")
             expected = _shapes(d_a, d_c, h_f)
             tensors = {}
             for i in range(len(PARAM_NAMES)):
@@ -374,8 +376,9 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
     q, hv = q_asv.value, h.value
     if not np.all(np.any(q, axis=-1)):
         raise ZeroNormError("test ASV embedding has zero norm")
-    if not np.all(np.any(hv, axis=-1)):
-        raise ZeroNormError("speaker representative vector has zero norm")
+    zero = np.flatnonzero(~np.any(hv, axis=-1))
+    if zero.size:
+        raise ZeroNormError("speaker representative vector has zero norm", int(zero[0]))
     test_norms = np.take(ad.row_norms(q), test_row, axis=0)
     set_norms = ad.row_norms(hv)
     norms = test_norms * np.take(set_norms, enroll_set, axis=0)

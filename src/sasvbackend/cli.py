@@ -111,9 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--cm-embeddings", required=True)
     sc.add_argument("--out", required=True, help="score file to write")
     sc.add_argument("--scorer", choices=SCORERS, default="fused")
-    sc.add_argument("--pooling", choices=POOLING_MODES,
-                    help="pooling of a version-1 checkpoint (default attention); a "
-                         "version-2 checkpoint records its own")
 
     ev = sub.add_parser("evaluate", help="compute EERs from a score file")
     ev.add_argument("--scores", required=True)
@@ -215,9 +212,6 @@ def cmd_train(args) -> int:
 
 def cmd_score(args) -> int:
     params = BackendParams.load(args.checkpoint)
-    if params.pooling and args.pooling and args.pooling != params.pooling:
-        raise dio.DataError(f"{args.checkpoint}: the checkpoint was trained with "
-                            f"{params.pooling} pooling, not {args.pooling}")
     trials = dio.load_trials(args.trials)
     asv_map = dio.load_embeddings(args.asv_embeddings)
     cm_map = dio.load_embeddings(args.cm_embeddings)
@@ -227,8 +221,7 @@ def cmd_score(args) -> int:
         if first is not None and first.size != dim:
             raise dio.DimensionMismatchError(f"{args.checkpoint}: {kind} dimension {dim} "
                                              f"differs from {first.size} in {path}")
-    records = score_trials(params, trials, asv_map, cm_map,
-                           pooling=params.pooling or args.pooling or "attention",
+    records = score_trials(params, trials, asv_map, cm_map, pooling=params.pooling,
                            scorer=args.scorer)
     dio.save_scores(records, args.out)
     print(f"{len(records)} trials scored with {args.scorer} -> {args.out}")

@@ -15,6 +15,7 @@ operating points that bracket the FAR = FRR crossing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,11 @@ def eer(positives, negatives) -> tuple[float, float]:
 
     thresholds = np.unique(np.concatenate([pos, neg]))
     # one extra point past the maximum so the sweep always ends at
-    # FRR = 1, FAR = 0 and a crossing is guaranteed
-    thresholds = np.append(thresholds, thresholds[-1] + 1.0)
+    # FRR = 1, FAR = 0 and a crossing is guaranteed; where + 1.0 no longer
+    # moves the maximum (|maximum| from 2**53 on), take the next float
+    top = thresholds[-1]
+    past = top + 1.0 if top + 1.0 != top else math.nextafter(top, math.inf)
+    thresholds = np.append(thresholds, past)
 
     frr = np.searchsorted(pos, thresholds, side="left") / pos.size
     far = 1.0 - np.searchsorted(neg, thresholds, side="left") / neg.size

@@ -22,6 +22,7 @@ from .backend import (
     BackendParams,
     EnrollmentStack,
     TrialBatch,
+    ZeroNormError,
     forward_batch,
     fuse,
 )
@@ -91,8 +92,13 @@ def score_trials(params: BackendParams, trials: TrialList, asv_map, cm_map,
     params = params.detach()  # never record scoring on a training tape
     scores = np.empty(len(trials))
     for chunk in _chunks(trials):
-        cols = forward_batch(params, _trial_batch([trials[i] for i in chunk], asv_map, cm_map),
-                             pooling)
+        batch = [trials[i] for i in chunk]
+        try:
+            cols = forward_batch(params, _trial_batch(batch, asv_map, cm_map), pooling)
+        except ZeroNormError as exc:  # resolve_trials left only pooled rows to be zero
+            speaker, ids = list(_index((t.claimed_speaker, t.enroll_ids) for t in batch)[0])[exc.row]
+            raise ZeroNormError(f"{pooling} pooling of the enrollment of speaker {speaker!r} "
+                                f"({', '.join(ids)}) gives a zero vector") from None
         if scorer == "fused":
             # fused through this module's fuse, so a substitute for it
             # reaches the scores

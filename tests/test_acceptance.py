@@ -101,7 +101,7 @@ def averaging_report(trend_pipeline, tmp_path_factory):
         "--trials", str(corpus / "trials_eval.tsv"),
         "--asv-embeddings", str(corpus / "asv_embeddings.txt"),
         "--cm-embeddings", str(corpus / "cm_embeddings.txt"),
-        "--scorer", "fused", "--pooling", "average", "--out", str(score_file),
+        "--scorer", "fused", "--out", str(score_file),
     ]) == 0
     report_file = root / "fused.eers"
     assert cli.main(["evaluate", "--scores", str(score_file),

@@ -404,7 +404,6 @@ class TestDeterminism:
         p = tape.parameter(1.0)
         ad.mul(p, p)
         tape.clear()
-        assert tape.parameters == [p]
         loss = ad.mul(p, p)
         tape.backward(loss)
         assert p.grad[0, 0] == 2.0

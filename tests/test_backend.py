@@ -12,7 +12,7 @@ from sasvbackend import data as dio
 from sasvbackend import sampling, training
 
 
-def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None, pooling=None):
+def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None, pooling="attention"):
     return bk.BackendParams.init(d_a, d_c, h_f, np.random.default_rng(seed), tape=tape,
                                  pooling=pooling)
 
@@ -508,11 +508,11 @@ class TestCheckpoint:
         assert loaded.pooling == pooling and loaded.detach().pooling == pooling
         loaded.save(second)
         assert path.read_bytes() == second.read_bytes()
-        # the same weights without a mode: a version-1 file, 4 + len(mode) bytes shorter
-        p.pooling = None
-        p.save(second)
-        assert len(second.read_bytes()) == len(path.read_bytes()) - 4 - len(pooling)
-        assert bk.BackendParams.load(second).pooling is None
+
+    @pytest.mark.parametrize("pooling", [None, "max"])
+    def test_parameters_always_have_a_pooling_mode(self, pooling):
+        with pytest.raises(ValueError, match="unknown pooling mode"):
+            make_params(pooling=pooling)
 
     def test_unknown_pooling_mode_rejected(self, tmp_path):
         p = make_params(d_a=3, d_c=2, h_f=2, seed=4, pooling="average")

@@ -390,12 +390,11 @@ def trained_average(corpus, tmp_path_factory):
     return out
 
 
-def version_1_copy(checkpoint, path):
-    """The same weights in a version-1 file, which records no pooling mode."""
+def copy_with_pooling(checkpoint, path, pooling):
+    """The same weights in a checkpoint that records another pooling mode."""
     params = BackendParams.load(checkpoint)
-    params.pooling = None
+    params.pooling = pooling
     params.save(path)
-    assert path.read_bytes()[8:12] == (1).to_bytes(4, "little")
     return path
 
 
@@ -404,36 +403,64 @@ class TestCheckpointPooling:
         ckpt = trained_average / "final.ckpt"
         assert ckpt.read_bytes()[8:12] == (2).to_bytes(4, "little")
         assert BackendParams.load(ckpt).pooling == "average"
-        assert score_with(ckpt, corpus, tmp_path / "implicit.tsv") == 0
-        assert score_with(ckpt, corpus, tmp_path / "explicit.tsv", "--pooling", "average") == 0
-        implicit = (tmp_path / "implicit.tsv").read_bytes()
-        assert implicit == (tmp_path / "explicit.tsv").read_bytes()
+        assert score_with(ckpt, corpus, tmp_path / "average.tsv") == 0
         # attention pooling of the same weights scores differently
-        v1 = version_1_copy(ckpt, tmp_path / "v1.ckpt")
-        assert score_with(v1, corpus, tmp_path / "attention.tsv") == 0
-        assert implicit != (tmp_path / "attention.tsv").read_bytes()
+        attention = copy_with_pooling(ckpt, tmp_path / "attention.ckpt", "attention")
+        assert attention.read_bytes()[8:12] == (2).to_bytes(4, "little")
+        assert score_with(attention, corpus, tmp_path / "attention.tsv") == 0
+        assert (tmp_path / "average.tsv").read_bytes() != (tmp_path / "attention.tsv").read_bytes()
 
-    def test_version_1_keeps_the_flag(self, corpus, trained_average, tmp_path):
-        ckpt = trained_average / "final.ckpt"
-        v1 = version_1_copy(ckpt, tmp_path / "v1.ckpt")
-        assert BackendParams.load(v1).pooling is None
-        for flags, name in (((), "default"), (("--pooling", "attention"), "attention"),
-                            (("--pooling", "average"), "average")):
-            assert score_with(v1, corpus, tmp_path / f"{name}.tsv", *flags) == 0
-        assert score_with(ckpt, corpus, tmp_path / "v2.tsv") == 0
-        scores = {name: (tmp_path / f"{name}.tsv").read_bytes()
-                  for name in ("default", "attention", "average", "v2")}
-        assert scores["default"] == scores["attention"] != scores["average"] == scores["v2"]
-
-    @pytest.mark.parametrize("trained_with, flag", [("average", "attention"),
-                                                    ("attention", "average")])
-    def test_disagreeing_pooling_flag_exits_2_naming_checkpoint(
-            self, corpus, trained, trained_average, tmp_path, capsys, trained_with, flag):
-        ckpt = (trained_average if trained_with == "average" else trained) / "final.ckpt"
+    def test_version_1_exits_2_naming_path_and_version(self, corpus, trained_average, tmp_path,
+                                                       capsys):
+        """A version-1 file is the version-2 layout without the pooling mode
+        field, so nothing says how its weights pool."""
+        data = (trained_average / "final.ckpt").read_bytes()
+        mode_field = (7).to_bytes(4, "little") + b"average"
+        assert data[24:24 + len(mode_field)] == mode_field
+        v1 = tmp_path / "v1.ckpt"
+        v1.write_bytes(data[:8] + (1).to_bytes(4, "little") + data[12:24]
+                       + data[24 + len(mode_field):])
         out = tmp_path / "s.tsv"
-        assert score_with(ckpt, corpus, out, "--pooling", flag) == 2
-        err = capsys.readouterr().err
-        assert str(ckpt) in err and trained_with in err and flag in err
+        assert score_with(v1, corpus, out) == 2
+        assert capsys.readouterr().err == f"error: {v1}: unsupported checkpoint version 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_score_takes_no_pooling_option(self, corpus, trained, tmp_path, capsys, source):
+        """The checkpoint alone says how to pool: asking score for a mode by
+        flag or config key exits 2 before anything is written."""
+        out = tmp_path / "s.tsv"
+        if source == "flag":
+            with pytest.raises(SystemExit) as exc:
+                score_with(trained / "final.ckpt", corpus, out, "--pooling", "attention")
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --pooling attention" in capsys.readouterr().err
+        else:
+            cfg = tmp_path / "score.cfg"
+            cfg.write_text("pooling=attention\n")
+            assert score_with(trained / "final.ckpt", corpus, out, "--config", str(cfg)) == 2
+            assert capsys.readouterr().err == f"error: {cfg}: unknown config keys: pooling\n"
+        assert not out.exists()
+
+    def test_zero_pooled_vector_exits_2_naming_speaker_and_ids(self, corpus, trained_average,
+                                                               tmp_path, capsys):
+        """Averaging an enrollment (e, -e) gives a zero vector, which has no
+        cosine."""
+        asv_map = dio.load_embeddings(corpus / "asv_embeddings.txt")
+        asv_map["evl000-b001"] = -asv_map["evl000-b000"]
+        asv = tmp_path / "asv_embeddings.txt"
+        dio.save_embeddings(asv_map, asv)
+        trials = tmp_path / "trials.tsv"
+        trials.write_text("evl000\tevl000-b000,evl000-b001\tevl000-b005\ttarget\n")
+        out = tmp_path / "s.tsv"
+        assert cli.main([
+            "score", "--checkpoint", str(trained_average / "final.ckpt"),
+            "--trials", str(trials), "--asv-embeddings", str(asv),
+            "--cm-embeddings", str(corpus / "cm_embeddings.txt"), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {asv}: average pooling of the enrollment of speaker 'evl000' "
+            "(evl000-b000, evl000-b001) gives a zero vector\n")
         assert not out.exists()
 
 
@@ -486,7 +513,7 @@ def inputs(corpus, trained, tmp_path_factory):
         "manifest": corpus / "manifest.tsv", "config": run / "score.cfg",
         "scores": run / "scores.tsv",
     }
-    files["config"].write_text("# score options\nscorer=fused\npooling=attention\n")
+    files["config"].write_text("# score options\nscorer=fused\nscorer=fused\n")
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main([str(a) for a in command_reading("checkpoint", files, run)]) == 0
     return files
@@ -551,6 +578,12 @@ class TestEvaluate:
         self.write_scores(scores, [(0.9, "target")])
         assert cli.main(["evaluate", "--scores", str(scores)]) == 5
         assert capsys.readouterr().err == f"error: {scores}: no impostor trials of any class\n"
+
+    def test_scores_that_one_does_not_move_tie_at_half(self, tmp_path, capsys):
+        scores = tmp_path / "s.tsv"
+        self.write_scores(scores, [(1e16, "target"), (1e16, "nontarget"), (1e16, "spoof")])
+        assert cli.main(["evaluate", "--scores", str(scores)]) == 0
+        assert capsys.readouterr().out.strip() == "50.00 50.00 50.00"
 
     def test_key_value_report(self, tmp_path, capsys):
         scores = tmp_path / "s.tsv"

@@ -1,5 +1,7 @@
 """EER tests against an independent brute-force threshold-sweep oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -27,6 +29,16 @@ class TestEer:
         value, threshold = mt.eer([0.8, 0.4], [0.6, 0.2])
         assert value == 0.5
         assert threshold == 0.6
+
+    @pytest.mark.parametrize("x", [2.0 ** 53, 1e16, -1e300, 1e300, np.finfo(np.float64).max])
+    def test_tie_at_a_score_that_one_does_not_move(self, x):
+        """From |x| = 2**53 on, x + 1.0 == x, so the sweep's end point steps
+        to the next float (inf past the largest one)."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, threshold = mt.eer([x], [x])
+        assert value == 0.5
+        assert not np.isnan(threshold) and threshold >= x
 
     def test_empty_class_named(self):
         with pytest.raises(mt.EmptyClassError, match="positive"):
