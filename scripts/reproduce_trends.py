@@ -26,6 +26,29 @@ TRAIN_RECIPE = [
 ]
 
 
+# the table's rows: (label, run directory, scorer)
+SYSTEMS = [
+    ("asv_only (attention)", "attention", "asv_only"),
+    ("score_sum", "attention", "score_sum"),
+    ("fused, avg pooling", "average", "fused"),
+    ("fused, attention", "attention", "fused"),
+]
+
+
+def score_file(work: Path, run_dir: str, scorer: str) -> Path:
+    return work / f"{run_dir}_{scorer}.tsv"
+
+
+def table(work: Path) -> str:
+    """The EER table of a work directory's score files, as printed."""
+    lines = [f"{'system':24s} {'SV-EER[%]':>10s} {'SPF-EER[%]':>11s} {'SASV-EER[%]':>12s}"]
+    for label, run_dir, scorer in SYSTEMS:
+        report = evaluate(dio.load_scores(score_file(work, run_dir, scorer)))
+        lines.append(f"{label:24s} {100 * report.sv_eer:10.2f} "
+                     f"{100 * report.spf_eer:11.2f} {100 * report.sasv_eer:12.2f}")
+    return "\n".join(lines)
+
+
 def run(argv):
     code = cli.main(argv)
     if code != 0:
@@ -59,29 +82,16 @@ def main():
          "--pooling", "average", "--seed", seed, *TRAIN_RECIPE])
 
     print("[4/4] scoring eval trials")
-    systems = [
-        ("asv_only (attention)", "attention", "asv_only"),
-        ("score_sum", "attention", "score_sum"),
-        ("fused, avg pooling", "average", "fused"),
-        ("fused, attention", "attention", "fused"),
-    ]
-    rows = []
-    for label, run_dir, scorer in systems:
-        score_file = work / f"{run_dir}_{scorer}.tsv"
+    for _, run_dir, scorer in SYSTEMS:
         run(["score", "--checkpoint", str(work / run_dir / "final.ckpt"),
              "--trials", str(corpus / "trials_eval.tsv"),
              "--asv-embeddings", str(corpus / "asv_embeddings.txt"),
              "--cm-embeddings", str(corpus / "cm_embeddings.txt"),
              "--scorer", scorer,
-             "--out", str(score_file)])
-        report = evaluate(dio.load_scores(score_file))
-        rows.append((label, report))
+             "--out", str(score_file(work, run_dir, scorer))])
 
     print()
-    print(f"{'system':24s} {'SV-EER[%]':>10s} {'SPF-EER[%]':>11s} {'SASV-EER[%]':>12s}")
-    for label, report in rows:
-        print(f"{label:24s} {100 * report.sv_eer:10.2f} "
-              f"{100 * report.spf_eer:11.2f} {100 * report.sasv_eer:12.2f}")
+    print(table(work))
 
 
 if __name__ == "__main__":

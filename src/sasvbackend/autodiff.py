@@ -34,12 +34,13 @@ import math
 import numpy as np
 
 
-# pairs whose rows pair_dot picks at a time: two blocks of rows stay in
-# cache where two P x d copies would not. The values do not depend on it
-# (each pair is its own einsum row). Whether glibc maps and trims a
-# block's two row copies (2 x 196 KB at 192-d) on every block depends on
-# the heap's history, so the cost of a size varies between processes;
-# 128 was not slower than 256 in any process measured
+# pairs whose rows pair_dots picks at a time, for the ASV head of a
+# scoring batch (training's set grid takes one matrix product instead):
+# two blocks of rows stay in cache where two P x d copies would not. The
+# values do not depend on it (each pair is its own einsum row). Whether
+# glibc maps and trims a block's two row copies (2 x 196 KB at 192-d) on
+# every block depends on the heap's history, so the cost of a size varies
+# between processes; 128 was not slower than 256 in any process measured
 PAIR_BLOCK = 128
 
 

@@ -139,6 +139,11 @@ class PairBatch(TrialBatch):
         return TrainingPair(int(self.test_row[i]), int(self.enroll_set[i]),
                             bool(self.positive[i]))
 
+    def set_grid(self) -> np.ndarray:
+        """enroll_set as the (M*K, M) grid of the training layout: row
+        l*K + m meets one set of each speaker n's group, in pair order."""
+        return self.enroll_set.reshape(len(self.test_asv), -1)
+
 
 def check_layout(m: int, k: int) -> None:
     """Reject a batch layout no pool can supply: an odd or non-positive k or

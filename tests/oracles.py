@@ -122,16 +122,13 @@ def tape_pool(params, stack):
 
 def tape_batch_loss(params, pairs, config):
     """The training step's loss spelled in the generic autodiff ops, one
-    record per op (49 at attention pooling): pooling, the calibrated-cosine
-    ASV head, the linear CM head, the fusion, per-pair BCE, hard selection
-    and the mean over the selected pairs. Returns (loss, selected) like
-    training.batch_loss."""
+    record per op (53 at attention pooling): pooling, the calibrated-cosine
+    ASV head of the training layout (gathered_cos), the linear CM head, the
+    fusion, per-pair BCE, hard selection and the mean over the selected
+    pairs. Returns (loss, selected) like training.batch_loss."""
     h = (tape_pool(params, pairs.enroll) if config.pooling == "attention"
          else bk.average_pool(pairs.enroll))
-    q_asv = ad.Tensor(pairs.test_asv)
-    norms = ad.mul(ad.gather(ad.norm(q_asv), pairs.test_row),
-                   ad.gather(ad.norm(h), pairs.enroll_set))
-    cos = ad.div(ad.pair_dot(q_asv, h, pairs.test_row, pairs.enroll_set), norms)
+    cos = gathered_cos(pairs, h)
     p_asv = ad.sigmoid(ad.add(ad.mul(params.a, cos), params.b))
     p_cm = ad.sigmoid(ad.add(ad.row_dot(ad.Tensor(pairs.test_cm), params.w_cm), params.b_cm))
     p_cm = ad.gather(p_cm, pairs.test_row)
@@ -221,11 +218,26 @@ def pooled_per_set(params, stack, pooling="attention"):
 
 
 def gathered_cos(batch, h):
-    """Reference ASV-head cosine: both operands gathered to one row per
-    trial, then row_dot over the product of the per-trial row norms."""
-    q = ad.Tensor(batch.test_asv[batch.test_row])
-    h = ad.gather(h, batch.enroll_set)
-    return ad.div(ad.row_dot(q, h), ad.mul(ad.norm(q), ad.norm(h)))
+    """Reference ASV-head cosine of the training layout, in the generic
+    ops: one matmul of every test row with every row of h, and one
+    broadcast product of their norms, each read at the trials' cells of
+    that test rows x sets matrix by a gather."""
+    q = ad.Tensor(batch.test_asv)
+    t, s = len(q.value), len(h.value)
+    cell = batch.test_row * s + batch.enroll_set
+    dots = ad.reshape(ad.matmul(q, ad.transpose(h)), (t * s,))
+    norms = ad.reshape(ad.mul(ad.reshape(ad.norm(q), (t, 1)), ad.reshape(ad.norm(h), (1, s))),
+                       (t * s,))
+    return ad.div(ad.gather(dots, cell), ad.gather(norms, cell))
+
+
+def paired_cos(batch, h):
+    """Reference ASV-head cosine of freely paired trials, in the generic
+    ops: one dot product per trial (pair_dot) over the product of the two
+    gathered row norms."""
+    q = ad.Tensor(batch.test_asv)
+    norms = ad.mul(ad.gather(ad.norm(q), batch.test_row), ad.gather(ad.norm(h), batch.enroll_set))
+    return ad.div(ad.pair_dot(q, h, batch.test_row, batch.enroll_set), norms)
 
 
 def load_embeddings_by_line(path) -> dict[str, np.ndarray]:

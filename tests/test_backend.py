@@ -1,15 +1,17 @@
 """Tests for the attention back-end: pooling, heads, fusion, checkpoints."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gathered_cos, pooled_per_set
+from oracles import gathered_cos, paired_cos, pooled_per_set
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
 from sasvbackend import data as dio
-from sasvbackend import sampling, training
+from sasvbackend import sampling, scoring, training
 
 
 def make_params(d_a=4, d_c=3, h_f=2, seed=0, tape=None, pooling="attention"):
@@ -385,6 +387,40 @@ class TestAsvHeadPerDistinctRow:
              else bk.average_pool(pairs.enroll))
         cos = bk.forward_batch(params, pairs, pooling).cos.value
         assert np.array_equal(cos, gathered_cos(pairs, h).value)
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_spelling_follows_the_batch_layout_bitwise(self, pooling, monkeypatch):
+        # a scoring batch, and a plain TrialBatch holding a PairBatch's very
+        # arrays, pair rows freely and take one dot product per pair; only
+        # the PairBatch, whose layout is a set grid, takes the matmul
+        ds = dio.generate_synthetic(dio.SynthConfig(
+            train_speakers=2, dev_speakers=2, eval_speakers=3, bonafide_per_speaker=8,
+            spoof_per_speaker=6, d_a=10, d_c=5, seed=4))
+        scored = scoring._trial_batch(ds.trials_eval[:40], ds.asv_embeddings, ds.cm_embeddings)
+        pairs = pair_batch(10, seed=2)
+        plain = bk.TrialBatch(pairs.test_asv, pairs.test_cm, pairs.enroll, pairs.test_row,
+                              pairs.enroll_set)
+        params = make_params(d_a=10, d_c=5, h_f=3, seed=2)
+        calls = []
+        pair_dots = ad.pair_dots
+        monkeypatch.setattr(ad, "pair_dots", lambda *args: calls.append(args) or pair_dots(*args))
+        for batch, oracle in ((scored, paired_cos), (plain, paired_cos), (pairs, gathered_cos)):
+            h = (bk.pool_enrollments(params, batch.enroll) if pooling == "attention"
+                 else bk.average_pool(batch.enroll))
+            calls.clear()
+            cos = bk.forward_batch(params, batch, pooling).cos.value
+            assert len(calls) == (oracle is paired_cos)
+            assert cos.tobytes() == oracle(batch, h).value.tobytes()
+
+    def test_default_pairing_keeps_per_pair_dots_bitwise(self):
+        rng = np.random.default_rng(5)
+        p = make_params(d_a=6)
+        for n_q, n_h in ((1, 4), (4, 4), (3, 1)):
+            q, h = rng.standard_normal((n_q, 6)), rng.standard_normal((n_h, 6))
+            cos = bk.asv_probability(p, ad.Tensor(q), ad.Tensor(h))[0].value
+            test_row, enroll_set = np.broadcast_arrays(np.arange(n_q), np.arange(n_h))
+            trials = SimpleNamespace(test_asv=q, test_row=test_row, enroll_set=enroll_set)
+            assert cos.tobytes() == paired_cos(trials, ad.Tensor(h)).value.tobytes()
 
 
 def padded_stack(rng, lengths, d_a, spoofed=()):
