@@ -13,11 +13,11 @@ and prints for both training runs (attention and average pooling):
 A difference is printed as 0 only when it is exactly zero.
 
 Usage:
-    python scripts/trend_drift.py A B [--exact]
+    python scripts/trend_drift.py A B
 
-With --exact the exit code is 1 unless every difference is exactly 0 and
-the tables are equal. A missing file, or a pair of files that do not
-describe the same parameters, trials or epochs, exits 2.
+Like diff, it exits 0 when every difference is exactly 0 and the tables
+are equal, and 1 otherwise. A missing file, or a pair of files that do
+not describe the same parameters, trials or epochs, exits 2.
 """
 
 import argparse
@@ -107,8 +107,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path)
     parser.add_argument("b", type=Path)
-    parser.add_argument("--exact", action="store_true",
-                        help="exit 1 unless every difference is exactly 0")
     args = parser.parse_args()
     try:
         lines, exact = report(args.a, args.b)
@@ -116,7 +114,7 @@ def main() -> int:
         print(f"trend_drift: {exc}", file=sys.stderr)
         return 2
     print("\n".join(lines))
-    return 1 if args.exact and not exact else 0
+    return 0 if exact else 1
 
 
 if __name__ == "__main__":

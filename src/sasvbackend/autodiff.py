@@ -35,7 +35,7 @@ import numpy as np
 
 
 # pairs whose rows pair_dots picks at a time, for the ASV head of a
-# scoring batch (training's set grid takes one matrix product instead):
+# scoring batch (training's dense layout takes one matrix product instead):
 # two blocks of rows stay in cache where two P x d copies would not. The
 # values do not depend on it (each pair is its own einsum row). Whether
 # glibc maps and trims a block's two row copies (2 x 196 KB at 192-d) on

@@ -29,7 +29,7 @@ block, so its gradients equal theirs bit for bit, and adds them in place
 into the parameters' flat gradient vector.
 
 The ASV head has two such spellings, and the batch's layout picks one
-(TrialBatch.set_grid). Trials that pair rows freely, as a scoring batch's
+(TrialBatch.dense). Trials that pair rows freely, as a scoring batch's
 do, take one dot product per pair. In the training layout every test row
 meets every enrollment group once, and the dot products are one matrix
 product of all test rows with all pooled rows, gathered at the pairs'
@@ -372,17 +372,16 @@ def average_pool(stack: EnrollmentStack) -> Tensor:
 
 def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
                     test_row=None, enroll_set=None,
-                    set_grid=None) -> tuple[Tensor, Tensor, Tensor]:
+                    dense: bool = False) -> tuple[Tensor, Tensor, Tensor]:
     """Calibrated cosine head of row test_row[p] of q_asv against row
     enroll_set[p] of h, with one norm per row; by default row i meets row i
     and a single row meets every row. Returns (cos, s_asv, P_asv) per pair.
     Each pair's dot product is its own (ad.pair_dots).
 
-    set_grid, given instead of the two index vectors, is the training
-    layout (TrialBatch.set_grid): pair t * G + n is row t against row
-    set_grid[t, n] of h, for the T x G grid of sets, distinct within a row.
-    The dot products are then one matrix product q_asv h^T and a gather,
-    and the sets' norm gradients one bincount.
+    dense says the pairs are distinct cells of the test rows x sets matrix
+    and fill much of it, as in the training layout (TrialBatch.dense): the
+    dot products are then one matrix product q_asv h^T read at the pairs'
+    cells, and the sets' norm gradients one bincount.
 
     One tape entry, whose backward replays the autodiff ops' expressions
     (see pool_enrollments; tests/oracles.py spells both layouts): only
@@ -395,17 +394,15 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
     if zero.size:
         raise ZeroNormError("speaker representative vector has zero norm", int(zero[0]))
     set_norms = ad.row_norms(hv)
-    if set_grid is None:
-        if test_row is None:
-            test_row, enroll_set = np.broadcast_arrays(np.arange(len(q)), np.arange(len(hv)))
-        test_norms = np.take(ad.row_norms(q), test_row, axis=0)
-        dots = ad.pair_dots(q, hv, test_row, enroll_set)
-    else:
-        enroll_set = set_grid.reshape(-1)
+    if test_row is None:
+        test_row, enroll_set = np.broadcast_arrays(np.arange(len(q)), np.arange(len(hv)))
+    test_norms = np.take(ad.row_norms(q), test_row, axis=0)
+    if dense:
         # the pairs' flat positions in the test rows x sets matrix
-        cell = (np.arange(len(q))[:, None] * len(hv) + set_grid).reshape(-1)
-        test_norms = np.repeat(ad.row_norms(q), set_grid.shape[1])
+        cell = test_row * len(hv) + enroll_set
         dots = np.take(q @ np.ascontiguousarray(hv.T), cell)
+    else:
+        dots = ad.pair_dots(q, hv, test_row, enroll_set)
     norms = test_norms * np.take(set_norms, enroll_set, axis=0)
     cos = dots / norms
     a = params.a.value.reshape(())
@@ -420,16 +417,16 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
             return
         d_cos = d_s * a
         d_norms = -d_cos * dots / (norms * norms)
-        if set_grid is None:
-            ad.accumulate(h, ad.pair_weights(d_cos / norms, test_row, enroll_set,
-                                             len(q), len(hv)).T @ q)
-            d_set_norms = ad.scatter_rows(d_norms * test_norms, enroll_set, set_norms.shape)
-        else:
+        if dense:
             d_dots = np.zeros(len(q) * len(hv))
             d_dots[cell] = d_cos / norms
             ad.accumulate(h, np.ascontiguousarray((q.T @ d_dots.reshape(len(q), -1)).T))
             d_set_norms = np.bincount(enroll_set, weights=d_norms * test_norms,
                                       minlength=len(hv))
+        else:
+            ad.accumulate(h, ad.pair_weights(d_cos / norms, test_row, enroll_set,
+                                             len(q), len(hv)).T @ q)
+            d_set_norms = ad.scatter_rows(d_norms * test_norms, enroll_set, set_norms.shape)
         ad.accumulate(h, (d_set_norms / set_norms)[..., None] * hv)
     return ad.constant(cos), ad.constant(s_asv), ad.record(p_asv, [params.a, h], backward)
 
@@ -481,13 +478,12 @@ class TrialBatch:
     test_row: np.ndarray
     enroll_set: np.ndarray
 
-    def set_grid(self) -> np.ndarray | None:
-        """The trials' sets as a T x G grid when every test row meets each
-        of G enrollment groups once, trial t * G + n taking set
-        set_grid[t, n]; None when the trials pair rows freely, as a
-        scoring batch's do. It picks the ASV head's spelling (see
-        asv_probability)."""
-        return None
+    # whether the trials are distinct cells of the test rows x sets matrix
+    # that fill much of it (every test row meeting every enrollment group
+    # once, as in training); it picks the ASV head's spelling (see
+    # asv_probability). Trials that pair rows freely, as a scoring batch's
+    # do, are not
+    dense = False
 
 
 @dataclass(frozen=True)
@@ -509,7 +505,7 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
 
     Every enrollment set is pooled once and every test row goes through
     the CM head once; only the fusion runs per trial, and the ASV head's
-    dot products unless the batch's layout is a set grid. pooling selects
+    dot products unless the batch's layout is dense. pooling selects
     attention pooling or the averaging ablation.
     """
     if pooling not in POOLING_MODES:
@@ -518,12 +514,8 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
         h = pool_enrollments(params, batch.enroll)
     else:
         h = average_pool(batch.enroll)
-    grid = batch.set_grid()
-    if grid is None:
-        cos, s_asv, p_asv = asv_probability(params, Tensor(batch.test_asv), h,
-                                            batch.test_row, batch.enroll_set)
-    else:
-        cos, s_asv, p_asv = asv_probability(params, Tensor(batch.test_asv), h, set_grid=grid)
+    cos, s_asv, p_asv = asv_probability(params, Tensor(batch.test_asv), h, batch.test_row,
+                                        batch.enroll_set, dense=batch.dense)
     s_cm, p_cm = cm_probability(params, Tensor(batch.test_cm))
     p_cm = ad.gather(p_cm, batch.test_row)
     s, p = fuse(params, p_cm, p_asv)

@@ -139,10 +139,9 @@ class PairBatch(TrialBatch):
         return TrainingPair(int(self.test_row[i]), int(self.enroll_set[i]),
                             bool(self.positive[i]))
 
-    def set_grid(self) -> np.ndarray:
-        """enroll_set as the (M*K, M) grid of the training layout: row
-        l*K + m meets one set of each speaker n's group, in pair order."""
-        return self.enroll_set.reshape(len(self.test_asv), -1)
+    # every test row meets one set of each speaker's group: distinct cells
+    # filling 1 / (B + 1) of the test rows x sets matrix
+    dense = True
 
 
 def check_layout(m: int, k: int) -> None:

@@ -362,6 +362,15 @@ def pair_batch(d_a, m=4, k=4, seed=0):
     return sampling.expand_pairs(drawn_batch(d_a, m, k, seed))
 
 
+@pytest.fixture
+def pair_dots_calls(monkeypatch):
+    """The arguments of each ad.pair_dots call made from here on."""
+    calls = []
+    pair_dots = ad.pair_dots
+    monkeypatch.setattr(ad, "pair_dots", lambda *args: calls.append(args) or pair_dots(*args))
+    return calls
+
+
 class TestAsvHeadPerDistinctRow:
     def test_tape_holds_no_per_pair_rows(self):
         d_a = 7
@@ -380,19 +389,19 @@ class TestAsvHeadPerDistinctRow:
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     @pytest.mark.parametrize("d_a", [7, 96])
-    def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a):
+    def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a, pair_dots_calls):
         pairs = pair_batch(d_a, seed=d_a)
         params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
         h = (bk.pool_enrollments(params, pairs.enroll) if pooling == "attention"
              else bk.average_pool(pairs.enroll))
         cos = bk.forward_batch(params, pairs, pooling).cos.value
+        assert not pair_dots_calls  # the training layout takes the matrix product
         assert np.array_equal(cos, gathered_cos(pairs, h).value)
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
-    def test_spelling_follows_the_batch_layout_bitwise(self, pooling, monkeypatch):
+    def test_freely_paired_batches_keep_per_pair_dots_bitwise(self, pooling, pair_dots_calls):
         # a scoring batch, and a plain TrialBatch holding a PairBatch's very
-        # arrays, pair rows freely and take one dot product per pair; only
-        # the PairBatch, whose layout is a set grid, takes the matmul
+        # arrays, pair rows freely and take one dot product per pair
         ds = dio.generate_synthetic(dio.SynthConfig(
             train_speakers=2, dev_speakers=2, eval_speakers=3, bonafide_per_speaker=8,
             spoof_per_speaker=6, d_a=10, d_c=5, seed=4))
@@ -401,16 +410,13 @@ class TestAsvHeadPerDistinctRow:
         plain = bk.TrialBatch(pairs.test_asv, pairs.test_cm, pairs.enroll, pairs.test_row,
                               pairs.enroll_set)
         params = make_params(d_a=10, d_c=5, h_f=3, seed=2)
-        calls = []
-        pair_dots = ad.pair_dots
-        monkeypatch.setattr(ad, "pair_dots", lambda *args: calls.append(args) or pair_dots(*args))
-        for batch, oracle in ((scored, paired_cos), (plain, paired_cos), (pairs, gathered_cos)):
+        for batch in (scored, plain):
             h = (bk.pool_enrollments(params, batch.enroll) if pooling == "attention"
                  else bk.average_pool(batch.enroll))
-            calls.clear()
+            pair_dots_calls.clear()
             cos = bk.forward_batch(params, batch, pooling).cos.value
-            assert len(calls) == (oracle is paired_cos)
-            assert cos.tobytes() == oracle(batch, h).value.tobytes()
+            assert len(pair_dots_calls) == 1
+            assert cos.tobytes() == paired_cos(batch, h).value.tobytes()
 
     def test_default_pairing_keeps_per_pair_dots_bitwise(self):
         rng = np.random.default_rng(5)
