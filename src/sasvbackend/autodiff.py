@@ -17,8 +17,7 @@ Broadcasting follows numpy in the elementwise ops and in ``matmul``'s
 batch axes, with one addition: a 1 x 1 tensor acts as a scalar against any
 shape, and ``softmax_masked`` broadcasts its logits against a larger mask.
 Every gradient is summed back to its operand's shape. ``reshape`` regroups
-a tensor's values under another shape. ``pair_dot`` takes dot products of
-indexed row pairs without putting the rows on the tape.
+a tensor's values under another shape.
 
 Not a general autodiff library: no higher-order gradients. Parameters
 are views of one flat vector (``flat_parameters``) whose gradients are
@@ -32,16 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-
-# pairs whose rows pair_dots picks at a time, for the ASV head of a
-# scoring batch (training's dense layout takes one matrix product instead):
-# two blocks of rows stay in cache where two P x d copies would not. The
-# values do not depend on it (each pair is its own einsum row). Whether
-# glibc maps and trims a block's two row copies (2 x 196 KB at 192-d) on
-# every block depends on the heap's history, so the cost of a size varies
-# between processes; 128 was not slower than 256 in any process measured
-PAIR_BLOCK = 128
 
 
 class ShapeError(ValueError):
@@ -402,39 +391,6 @@ def row_dot(a: Tensor, b: Tensor) -> Tensor:
     return _op(row_dots(av, bv), (a, lambda g: g[..., None] * bv), (b, grad_b))
 
 
-def pair_dots(av: np.ndarray, bv: np.ndarray, ia, ib) -> np.ndarray:
-    """Dot products of indexed row pairs, out[p] = av[ia[p]] . bv[ib[p]],
-    each bitwise row_dots of its two rows. The rows are picked PAIR_BLOCK
-    pairs at a time."""
-    ia, ib = np.asarray(ia, dtype=np.intp), np.asarray(ib, dtype=np.intp)
-    if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[1] or ia.shape != ib.shape:
-        raise ShapeError(f"pair_dot: rows {av.shape}, {bv.shape} with indices {ia.shape}, "
-                         f"{ib.shape}")
-    flat_a, flat_b = ia.reshape(-1), ib.reshape(-1)
-    out = np.empty(flat_a.size)
-    for s in range(0, flat_a.size, PAIR_BLOCK):
-        block = slice(s, s + PAIR_BLOCK)
-        out[block] = np.einsum("...i,...i->...", np.take(av, flat_a[block], axis=0),
-                               np.take(bv, flat_b[block], axis=0))
-    return out.reshape(ia.shape)
-
-
-def pair_weights(g: np.ndarray, ia, ib, n_a: int, n_b: int) -> np.ndarray:
-    """Each (i, j) pair's gradients summed in pair order into an n_a x n_b
-    matrix W: pair_dots' backward is W @ b for a and W.T @ a for b."""
-    return np.bincount((np.asarray(ia) * n_b + ib).ravel(), weights=g.ravel(),
-                       minlength=n_a * n_b).reshape(n_a, n_b)
-
-
-def pair_dot(a: Tensor, b: Tensor, ia, ib) -> Tensor:
-    """Dot products of indexed row pairs, out[p] = a[ia[p]] . b[ib[p]] (see
-    pair_dots and pair_weights)."""
-    av, bv = a.value, b.value
-    out = pair_dots(av, bv, ia, ib)
-    return _op(out, (a, lambda g: pair_weights(g, ia, ib, len(av), len(bv)) @ bv),
-               (b, lambda g: pair_weights(g, ia, ib, len(av), len(bv)).T @ av))
-
-
 def row_norms(av: np.ndarray) -> np.ndarray:
     """Euclidean norm of each row, over the last axis; a zero norm raises
     ValueError. The gradient is (g / n)[..., None] * av."""
@@ -479,12 +435,15 @@ def gather(a: Tensor, index) -> Tensor:
 
 def scatter_rows(g: np.ndarray, index, shape) -> np.ndarray:
     """gather's backward: zeros of shape, plus the gradient of each picked
-    row summed in index order. An index already in order (a test row
-    repeated once per pair, say) is summed in contiguous runs, unsorted."""
+    row summed in index order. An index that picks each row at most once,
+    in increasing order (the cells of a training batch, say), is written
+    as it is; one already in order (a test row repeated once per pair,
+    say) is summed in contiguous runs, unsorted."""
     picked = np.asarray(index, dtype=np.intp).reshape(-1)
     g = g.reshape((-1,) + tuple(shape[1:]))
     ga = np.zeros(shape)
-    if picked.size == 0:
+    if np.all(picked[1:] > picked[:-1]):
+        ga[picked] = g
         return ga
     if np.any(picked[1:] < picked[:-1]):
         order = np.argsort(picked, kind="stable")

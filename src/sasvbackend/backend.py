@@ -28,14 +28,11 @@ backward expressions of the generic autodiff ops that spell the same
 block, so its gradients equal theirs bit for bit, and adds them in place
 into the parameters' flat gradient vector.
 
-The ASV head has two such spellings, and the batch's layout picks one
-(TrialBatch.dense). Trials that pair rows freely, as a scoring batch's
-do, take one dot product per pair. In the training layout every test row
-meets every enrollment group once, and the dot products are one matrix
-product of all test rows with all pooled rows, gathered at the pairs'
-cells. The two sum in different orders, so their cosines can differ in
-the last bits; scripts/trend_drift.py reports how far such a difference
-carries through training.
+The ASV head has one spelling for every batch: its dot products are one
+matrix product of all test rows with all pooled rows, read at the
+trials' cells. So a trial's cosine depends, in its last bits, on the
+other rows of its batch; scripts/trend_drift.py reports how far such a
+round-off difference carries through training.
 """
 
 from __future__ import annotations
@@ -371,20 +368,17 @@ def average_pool(stack: EnrollmentStack) -> Tensor:
 
 
 def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
-                    test_row=None, enroll_set=None,
-                    dense: bool = False) -> tuple[Tensor, Tensor, Tensor]:
+                    test_row=None, enroll_set=None) -> tuple[Tensor, Tensor, Tensor]:
     """Calibrated cosine head of row test_row[p] of q_asv against row
     enroll_set[p] of h, with one norm per row; by default row i meets row i
     and a single row meets every row. Returns (cos, s_asv, P_asv) per pair.
-    Each pair's dot product is its own (ad.pair_dots).
-
-    dense says the pairs are distinct cells of the test rows x sets matrix
-    and fill much of it, as in the training layout (TrialBatch.dense): the
-    dot products are then one matrix product q_asv h^T read at the pairs'
-    cells, and the sets' norm gradients one bincount.
+    The dot products are one matrix product q_asv h^T, read at the pairs'
+    cells of that test rows x sets matrix; several pairs may share a cell.
 
     One tape entry, whose backward replays the autodiff ops' expressions
-    (see pool_enrollments; tests/oracles.py spells both layouts): only
+    (see pool_enrollments; tests/oracles.py spells them): the pairs'
+    gradients of the dot products and of the norm products are each
+    summed into their cells (ad.scatter_rows, gather's backward). Only
     P_asv is tracked, and its gradient reaches a, b and a tracked h. q_asv
     is data and gets none."""
     q, hv = q_asv.value, h.value
@@ -396,14 +390,11 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
     set_norms = ad.row_norms(hv)
     if test_row is None:
         test_row, enroll_set = np.broadcast_arrays(np.arange(len(q)), np.arange(len(hv)))
-    test_norms = np.take(ad.row_norms(q), test_row, axis=0)
-    if dense:
-        # the pairs' flat positions in the test rows x sets matrix
-        cell = test_row * len(hv) + enroll_set
-        dots = np.take(q @ np.ascontiguousarray(hv.T), cell)
-    else:
-        dots = ad.pair_dots(q, hv, test_row, enroll_set)
-    norms = test_norms * np.take(set_norms, enroll_set, axis=0)
+    q_norms = ad.row_norms(q)
+    # the pairs' flat positions in the test rows x sets matrix
+    cell = test_row * len(hv) + enroll_set
+    dots = np.take(q @ np.ascontiguousarray(hv.T), cell)
+    norms = np.take(q_norms, test_row, axis=0) * np.take(set_norms, enroll_set, axis=0)
     cos = dots / norms
     a = params.a.value.reshape(())
     s_asv = a * cos + params.b.value.reshape(())
@@ -417,16 +408,11 @@ def asv_probability(params: BackendParams, q_asv: Tensor, h: Tensor,
             return
         d_cos = d_s * a
         d_norms = -d_cos * dots / (norms * norms)
-        if dense:
-            d_dots = np.zeros(len(q) * len(hv))
-            d_dots[cell] = d_cos / norms
-            ad.accumulate(h, np.ascontiguousarray((q.T @ d_dots.reshape(len(q), -1)).T))
-            d_set_norms = np.bincount(enroll_set, weights=d_norms * test_norms,
-                                      minlength=len(hv))
-        else:
-            ad.accumulate(h, ad.pair_weights(d_cos / norms, test_row, enroll_set,
-                                             len(q), len(hv)).T @ q)
-            d_set_norms = ad.scatter_rows(d_norms * test_norms, enroll_set, set_norms.shape)
+        grid = (len(q) * len(hv),)
+        d_dots = ad.scatter_rows(d_cos / norms, cell, grid).reshape(len(q), -1)
+        ad.accumulate(h, np.ascontiguousarray((q.T @ d_dots).T))
+        d_norm_grid = ad.scatter_rows(d_norms, cell, grid).reshape(len(q), -1)
+        d_set_norms = (d_norm_grid * q_norms[:, None]).sum(axis=0)
         ad.accumulate(h, (d_set_norms / set_norms)[..., None] * hv)
     return ad.constant(cos), ad.constant(s_asv), ad.record(p_asv, [params.a, h], backward)
 
@@ -469,7 +455,8 @@ class TrialBatch:
     """Trials as arrays: T test utterances against the S sets of a stack.
 
     Trial i compares row test_row[i] of test_asv (T x d_a) and test_cm
-    (T x d_c) with enrollment set enroll_set[i].
+    (T x d_c) with enrollment set enroll_set[i]. Trials may pair rows in
+    any way; the ASV head takes the T x S matrix product of all of them.
     """
 
     test_asv: np.ndarray
@@ -477,13 +464,6 @@ class TrialBatch:
     enroll: EnrollmentStack
     test_row: np.ndarray
     enroll_set: np.ndarray
-
-    # whether the trials are distinct cells of the test rows x sets matrix
-    # that fill much of it (every test row meeting every enrollment group
-    # once, as in training); it picks the ASV head's spelling (see
-    # asv_probability). Trials that pair rows freely, as a scoring batch's
-    # do, are not
-    dense = False
 
 
 @dataclass(frozen=True)
@@ -504,9 +484,9 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
     """Full back-end pass over a trial batch: pool, both heads, fusion.
 
     Every enrollment set is pooled once and every test row goes through
-    the CM head once; only the fusion runs per trial, and the ASV head's
-    dot products unless the batch's layout is dense. pooling selects
-    attention pooling or the averaging ablation.
+    the CM head once; the ASV head's dot products are one matrix product
+    of the test rows with the pooled rows, and only the fusion runs per
+    trial. pooling selects attention pooling or the averaging ablation.
     """
     if pooling not in POOLING_MODES:
         raise ValueError(f"unknown pooling mode {pooling!r}, expected one of {POOLING_MODES}")
@@ -515,7 +495,7 @@ def forward_batch(params: BackendParams, batch: TrialBatch,
     else:
         h = average_pool(batch.enroll)
     cos, s_asv, p_asv = asv_probability(params, Tensor(batch.test_asv), h, batch.test_row,
-                                        batch.enroll_set, dense=batch.dense)
+                                        batch.enroll_set)
     s_cm, p_cm = cm_probability(params, Tensor(batch.test_cm))
     p_cm = ad.gather(p_cm, batch.test_row)
     s, p = fuse(params, p_cm, p_asv)

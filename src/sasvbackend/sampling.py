@@ -139,10 +139,6 @@ class PairBatch(TrialBatch):
         return TrainingPair(int(self.test_row[i]), int(self.enroll_set[i]),
                             bool(self.positive[i]))
 
-    # every test row meets one set of each speaker's group: distinct cells
-    # filling 1 / (B + 1) of the test rows x sets matrix
-    dense = True
-
 
 def check_layout(m: int, k: int) -> None:
     """Reject a batch layout no pool can supply: an odd or non-positive k or

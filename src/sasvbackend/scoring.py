@@ -11,7 +11,8 @@ bona fide, so no masking applies at scoring time. Trials are scored in
 batched forward passes, each over enrollment sets of one size, so no pass
 pads a set: within a pass each distinct (claimed speaker, enrollment ids)
 set is pooled once and each distinct test utterance goes through the CM
-head once.
+head once, and the ASV head's dot products are one matrix product of the
+pass's test rows with its pooled sets.
 """
 
 from __future__ import annotations
@@ -34,7 +35,9 @@ SCORERS = ("fused", "asv_only", "score_sum")
 # limits of one forward pass, which bound peak memory: trials, which bound
 # the distinct test rows a pass gathers (unbounded, score-eval's peak RSS
 # rose from about 145 to 157 MB), and enrollment rows (distinct sets x set
-# size), which dominate when sets are long and rarely shared
+# size), which dominate when sets are long and rarely shared. Together they
+# bound the ASV head's test rows x sets product to 1,024 x 1,024 values
+# (8 MB); a score-eval pass, about 990 rows x 28 sets, holds about 210 KB
 SCORE_CHUNK = 1024
 SCORE_POOL_ROWS = 1024
 

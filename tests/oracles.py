@@ -218,10 +218,11 @@ def pooled_per_set(params, stack, pooling="attention"):
 
 
 def gathered_cos(batch, h):
-    """Reference ASV-head cosine of the training layout, in the generic
+    """Reference ASV-head cosine of trials in any pairing, in the generic
     ops: one matmul of every test row with every row of h, and one
     broadcast product of their norms, each read at the trials' cells of
-    that test rows x sets matrix by a gather."""
+    that test rows x sets matrix by a gather (whose backward sums the
+    trials that share a cell)."""
     q = ad.Tensor(batch.test_asv)
     t, s = len(q.value), len(h.value)
     cell = batch.test_row * s + batch.enroll_set
@@ -229,15 +230,6 @@ def gathered_cos(batch, h):
     norms = ad.reshape(ad.mul(ad.reshape(ad.norm(q), (t, 1)), ad.reshape(ad.norm(h), (1, s))),
                        (t * s,))
     return ad.div(ad.gather(dots, cell), ad.gather(norms, cell))
-
-
-def paired_cos(batch, h):
-    """Reference ASV-head cosine of freely paired trials, in the generic
-    ops: one dot product per trial (pair_dot) over the product of the two
-    gathered row norms."""
-    q = ad.Tensor(batch.test_asv)
-    norms = ad.mul(ad.gather(ad.norm(q), batch.test_row), ad.gather(ad.norm(h), batch.enroll_set))
-    return ad.div(ad.pair_dot(q, h, batch.test_row, batch.enroll_set), norms)
 
 
 def load_embeddings_by_line(path) -> dict[str, np.ndarray]:

@@ -264,6 +264,15 @@ class TestBatchedOps:
         # row 0 picked three times, row 1 never
         assert np.array_equal(x.grad, [[3.5, 3.5], [0.0, 0.0], [0.25, 0.25]])
 
+    def test_scatter_rows_writes_rows_picked_once_and_sums_repeats(self):
+        g = np.array([[-0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+        # each row picked at most once, in order: written as it is, -0.0 too
+        once = ad.scatter_rows(g, [0, 2, 3], (4, 2))
+        assert once.tobytes() == np.array([[-0.0, 1.0], [0, 0], [2, 3], [4, 5]]).tobytes()
+        # a repeat in order, and one out of order, are summed
+        assert np.array_equal(ad.scatter_rows(g, [1, 1, 3], (4, 2)), [[0, 0], [2, 4], [0, 0], [4, 5]])
+        assert np.array_equal(ad.scatter_rows(g, [3, 1, 3], (4, 2)), [[0, 0], [2, 3], [0, 0], [4, 6]])
+
     def test_reshape_round_trips_values_and_gradient(self):
         tape = ad.Tape()
         x = tape.parameter(np.arange(12.0).reshape(3, 4))
@@ -317,74 +326,6 @@ class TestBatchedOps:
             ad.softmax_masked(ad.Tensor(np.ones((2, 3, 3))), np.zeros((4, 1, 3), dtype=bool))
         with pytest.raises(ad.ShapeError):
             ad.Tensor(np.ones((1, 1, 1, 1, 1)))
-
-
-class TestPairDot:
-    def test_matches_finite_differences_with_repeated_pairs(self):
-        rng = np.random.default_rng(13)
-        tape = ad.Tape()
-        A = tape.parameter(rng.standard_normal((3, 4)))
-        B = tape.parameter(rng.standard_normal((2, 4)))
-        C = ad.Tensor(rng.standard_normal((5, 4)))
-        ia = np.array([0, 2, 0, 1, 0, 2])  # (0, 1) and (2, 0) occur twice
-        ib = np.array([1, 0, 1, 1, 0, 0])
-        ic = np.array([4, 0, 4, 2, 1, 3])
-        w = ad.Tensor(rng.standard_normal(6))
-
-        def forward(params):
-            A_, B_ = params
-            both = ad.row_dot(ad.pair_dot(A_, B_, ia, ib), w)
-            return ad.add(ad.add(both, ad.row_dot(ad.pair_dot(A_, C, ia, ic), w)),
-                          ad.row_dot(ad.pair_dot(C, B_, ic, ib), w))
-
-        tape.backward(forward([A, B]))
-        analytic = [A.grad.copy(), B.grad.copy()]
-        fd = finite_difference(lambda: forward([A.detach(), B.detach()]).item(), [A, B])
-        for a, n in zip(analytic, fd):
-            assert relative_error(a, n) < 1e-6
-        assert C.grad is None
-
-    def test_shape_errors(self):
-        a, b = ad.Tensor(np.ones((3, 4))), ad.Tensor(np.ones((2, 5)))
-        with pytest.raises(ad.ShapeError, match="pair_dot"):
-            ad.pair_dot(a, b, [0, 1], [1, 0])
-        with pytest.raises(ad.ShapeError, match="pair_dot"):
-            ad.pair_dot(a, ad.Tensor(np.ones((2, 4))), [0, 1, 2], [1, 0])
-
-    @pytest.mark.parametrize("d", [1, 7, 96, 193])
-    def test_forward_is_row_dot_of_gathered_rows_bitwise(self, d):
-        rng = np.random.default_rng(d)
-        a, b = ad.Tensor(rng.standard_normal((6, d))), ad.Tensor(rng.standard_normal((4, d)))
-        ia, ib = rng.integers(0, 6, 50), rng.integers(0, 4, 50)
-        out = ad.pair_dot(a, b, ia, ib).value
-        assert np.array_equal(out, ad.row_dot(ad.gather(a, ia), ad.gather(b, ib)).value)
-        # a pair's value does not depend on which pairs share the call
-        assert np.array_equal(out[17:23], ad.pair_dot(a, b, ia[17:23], ib[17:23]).value)
-
-    # the corpus-scale pair count, and one that ends in a partial block
-    @pytest.mark.parametrize("n_pairs", [2560, 549])
-    def test_forward_over_several_blocks_is_row_dot_bitwise(self, n_pairs):
-        rng = np.random.default_rng(n_pairs)
-        a, b = ad.Tensor(rng.standard_normal((160, 192))), ad.Tensor(rng.standard_normal((160, 192)))
-        ia, ib = rng.integers(0, 160, n_pairs), rng.integers(0, 160, n_pairs)
-        out = ad.pair_dot(a, b, ia, ib).value
-        assert out.shape == (n_pairs,)
-        assert np.array_equal(out, ad.row_dot(ad.gather(a, ia), ad.gather(b, ib)).value)
-        # an index array of any shape, blocked over its flattened pairs
-        cols = n_pairs // 3
-        grid = ad.pair_dot(a, b, ia[:3 * cols].reshape(3, cols), ib[:3 * cols].reshape(3, cols))
-        assert np.array_equal(grid.value, out[:3 * cols].reshape(3, cols))
-
-    @pytest.mark.parametrize("block", [1, 3, 128, 256])
-    def test_forward_is_bitwise_the_same_at_any_block_size(self, monkeypatch, block):
-        # 1,000 pairs fill no whole number of blocks of 3, 128 or 256
-        rng = np.random.default_rng(block)
-        a, b = ad.Tensor(rng.standard_normal((40, 192))), ad.Tensor(rng.standard_normal((30, 192)))
-        ia, ib = rng.integers(0, 40, 1000), rng.integers(0, 30, 1000)
-        monkeypatch.setattr(ad, "PAIR_BLOCK", 1)
-        one_by_one = ad.pair_dot(a, b, ia, ib).value
-        monkeypatch.setattr(ad, "PAIR_BLOCK", block)
-        assert ad.pair_dot(a, b, ia, ib).value.tobytes() == one_by_one.tobytes()
 
 
 class TestDeterminism:

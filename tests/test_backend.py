@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import gathered_cos, paired_cos, pooled_per_set
+from oracles import gathered_cos, pooled_per_set
 from sasvbackend import autodiff as ad
 from sasvbackend import backend as bk
 from sasvbackend import data as dio
@@ -196,8 +196,12 @@ class TestAsvProbability:
         rng = np.random.default_rng(4)
         q, h = rng.standard_normal((1, 4)), rng.standard_normal((3, 4))
         cos, _, _ = bk.asv_probability(p, ad.Tensor(q), ad.Tensor(h))
+        trials = SimpleNamespace(test_asv=q, test_row=np.zeros(3, dtype=np.intp),
+                                 enroll_set=np.arange(3))
+        assert cos.value.tobytes() == gathered_cos(trials, ad.Tensor(h)).value.tobytes()
+        # one 1 x 3 matrix product need not round as three 1 x 1 products do
         each = [bk.asv_probability(p, ad.Tensor(q), ad.Tensor(row))[0].item() for row in h]
-        assert cos.value.tolist() == each
+        np.testing.assert_allclose(cos.value, each, rtol=1e-12, atol=0)
         with pytest.raises(ValueError):
             bk.asv_probability(p, ad.Tensor(h[:2]), ad.Tensor(h))
 
@@ -362,15 +366,6 @@ def pair_batch(d_a, m=4, k=4, seed=0):
     return sampling.expand_pairs(drawn_batch(d_a, m, k, seed))
 
 
-@pytest.fixture
-def pair_dots_calls(monkeypatch):
-    """The arguments of each ad.pair_dots call made from here on."""
-    calls = []
-    pair_dots = ad.pair_dots
-    monkeypatch.setattr(ad, "pair_dots", lambda *args: calls.append(args) or pair_dots(*args))
-    return calls
-
-
 class TestAsvHeadPerDistinctRow:
     def test_tape_holds_no_per_pair_rows(self):
         d_a = 7
@@ -389,44 +384,53 @@ class TestAsvHeadPerDistinctRow:
 
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     @pytest.mark.parametrize("d_a", [7, 96])
-    def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a, pair_dots_calls):
+    def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a):
+        # the training layout, a scoring batch and a plain TrialBatch holding
+        # a PairBatch's very arrays all take the one matrix product
         pairs = pair_batch(d_a, seed=d_a)
-        params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
-        h = (bk.pool_enrollments(params, pairs.enroll) if pooling == "attention"
-             else bk.average_pool(pairs.enroll))
-        cos = bk.forward_batch(params, pairs, pooling).cos.value
-        assert not pair_dots_calls  # the training layout takes the matrix product
-        assert np.array_equal(cos, gathered_cos(pairs, h).value)
-
-    @pytest.mark.parametrize("pooling", ["attention", "average"])
-    def test_freely_paired_batches_keep_per_pair_dots_bitwise(self, pooling, pair_dots_calls):
-        # a scoring batch, and a plain TrialBatch holding a PairBatch's very
-        # arrays, pair rows freely and take one dot product per pair
         ds = dio.generate_synthetic(dio.SynthConfig(
             train_speakers=2, dev_speakers=2, eval_speakers=3, bonafide_per_speaker=8,
-            spoof_per_speaker=6, d_a=10, d_c=5, seed=4))
+            spoof_per_speaker=6, d_a=d_a, d_c=5, seed=4))
         scored = scoring._trial_batch(ds.trials_eval[:40], ds.asv_embeddings, ds.cm_embeddings)
-        pairs = pair_batch(10, seed=2)
         plain = bk.TrialBatch(pairs.test_asv, pairs.test_cm, pairs.enroll, pairs.test_row,
                               pairs.enroll_set)
-        params = make_params(d_a=10, d_c=5, h_f=3, seed=2)
-        for batch in (scored, plain):
+        params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
+        for batch in (pairs, scored, plain):
             h = (bk.pool_enrollments(params, batch.enroll) if pooling == "attention"
                  else bk.average_pool(batch.enroll))
-            pair_dots_calls.clear()
             cos = bk.forward_batch(params, batch, pooling).cos.value
-            assert len(pair_dots_calls) == 1
-            assert cos.tobytes() == paired_cos(batch, h).value.tobytes()
-
-    def test_default_pairing_keeps_per_pair_dots_bitwise(self):
+            assert cos.tobytes() == gathered_cos(batch, h).value.tobytes()
+        # asv_probability's default pairing: one row against four, four
+        # against four, three against one
         rng = np.random.default_rng(5)
-        p = make_params(d_a=6)
         for n_q, n_h in ((1, 4), (4, 4), (3, 1)):
-            q, h = rng.standard_normal((n_q, 6)), rng.standard_normal((n_h, 6))
-            cos = bk.asv_probability(p, ad.Tensor(q), ad.Tensor(h))[0].value
+            q, h = rng.standard_normal((n_q, d_a)), rng.standard_normal((n_h, d_a))
+            cos = bk.asv_probability(params, ad.Tensor(q), ad.Tensor(h))[0].value
             test_row, enroll_set = np.broadcast_arrays(np.arange(n_q), np.arange(n_h))
             trials = SimpleNamespace(test_asv=q, test_row=test_row, enroll_set=enroll_set)
-            assert cos.tobytes() == paired_cos(trials, ad.Tensor(h)).value.tobytes()
+            assert cos.tobytes() == gathered_cos(trials, ad.Tensor(h)).value.tobytes()
+
+    def test_shared_cell_sums_its_pairs_gradients_bitwise(self):
+        # cell (0, 1) occurs twice: the backward must sum both pairs'
+        # gradients there, as the generic gather's backward does
+        rng = np.random.default_rng(13)
+        q, h_values = rng.standard_normal((3, 6)), rng.standard_normal((2, 6))
+        trials = SimpleNamespace(test_asv=q, test_row=np.array([0, 2, 0, 1, 0]),
+                                 enroll_set=np.array([1, 0, 1, 1, 0]))
+        weights = ad.Tensor(rng.standard_normal((1, 5)))
+        grads = []
+        for generic in (False, True):
+            tape = ad.Tape()
+            p = bk.BackendParams.init(6, 3, 2, np.random.default_rng(1), tape=tape)
+            h = tape.parameter(h_values)
+            if generic:
+                p_asv = ad.sigmoid(ad.add(ad.mul(p.a, gathered_cos(trials, h)), p.b))
+            else:
+                p_asv = bk.asv_probability(p, ad.Tensor(q), h, trials.test_row,
+                                           trials.enroll_set)[2]
+            tape.backward(ad.row_dot(p_asv, weights))
+            grads.append([g.tobytes() for g in (h.grad, p.a.grad, p.b.grad)])
+        assert grads[0] == grads[1]
 
 
 def padded_stack(rng, lengths, d_a, spoofed=()):
