@@ -366,6 +366,12 @@ def pair_batch(d_a, m=4, k=4, seed=0):
     return sampling.expand_pairs(drawn_batch(d_a, m, k, seed))
 
 
+def per_pair_cos(trials, h):
+    """Each trial's cosine from its own test row and set row, one pair at a time."""
+    q, r = trials.test_asv[trials.test_row], h[trials.enroll_set]
+    return np.array([a @ b / (np.linalg.norm(a) * np.linalg.norm(b)) for a, b in zip(q, r)])
+
+
 class TestAsvHeadPerDistinctRow:
     def test_tape_holds_no_per_pair_rows(self):
         d_a = 7
@@ -385,30 +391,45 @@ class TestAsvHeadPerDistinctRow:
     @pytest.mark.parametrize("pooling", ["attention", "average"])
     @pytest.mark.parametrize("d_a", [7, 96])
     def test_cos_is_the_gathered_composition_bitwise(self, pooling, d_a):
-        # the training layout, a scoring batch and a plain TrialBatch holding
-        # a PairBatch's very arrays all take the one matrix product
         pairs = pair_batch(d_a, seed=d_a)
+        params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
+        h = (bk.pool_enrollments(params, pairs.enroll) if pooling == "attention"
+             else bk.average_pool(pairs.enroll))
+        cos = bk.forward_batch(params, pairs, pooling).cos.value
+        assert cos.tobytes() == gathered_cos(pairs, h).value.tobytes()
+
+    @pytest.mark.parametrize("pooling", ["attention", "average"])
+    def test_freely_paired_batches_keep_per_pair_dots_bitwise(self, pooling):
+        # a scoring batch, and a plain TrialBatch holding a PairBatch's very
+        # arrays, pair rows freely; they take the training layout's one
+        # matrix product and still give each pair its own cosine
         ds = dio.generate_synthetic(dio.SynthConfig(
             train_speakers=2, dev_speakers=2, eval_speakers=3, bonafide_per_speaker=8,
-            spoof_per_speaker=6, d_a=d_a, d_c=5, seed=4))
+            spoof_per_speaker=6, d_a=10, d_c=5, seed=4))
         scored = scoring._trial_batch(ds.trials_eval[:40], ds.asv_embeddings, ds.cm_embeddings)
+        pairs = pair_batch(10, seed=2)
         plain = bk.TrialBatch(pairs.test_asv, pairs.test_cm, pairs.enroll, pairs.test_row,
                               pairs.enroll_set)
-        params = make_params(d_a=d_a, d_c=5, h_f=3, seed=d_a)
-        for batch in (pairs, scored, plain):
+        params = make_params(d_a=10, d_c=5, h_f=3, seed=2)
+        for batch in (scored, plain):
             h = (bk.pool_enrollments(params, batch.enroll) if pooling == "attention"
                  else bk.average_pool(batch.enroll))
             cos = bk.forward_batch(params, batch, pooling).cos.value
             assert cos.tobytes() == gathered_cos(batch, h).value.tobytes()
+            np.testing.assert_allclose(cos, per_pair_cos(batch, h.value), rtol=1e-12, atol=1e-15)
+
+    def test_default_pairing_keeps_per_pair_dots_bitwise(self):
         # asv_probability's default pairing: one row against four, four
         # against four, three against one
         rng = np.random.default_rng(5)
+        p = make_params(d_a=6)
         for n_q, n_h in ((1, 4), (4, 4), (3, 1)):
-            q, h = rng.standard_normal((n_q, d_a)), rng.standard_normal((n_h, d_a))
-            cos = bk.asv_probability(params, ad.Tensor(q), ad.Tensor(h))[0].value
+            q, h = rng.standard_normal((n_q, 6)), rng.standard_normal((n_h, 6))
+            cos = bk.asv_probability(p, ad.Tensor(q), ad.Tensor(h))[0].value
             test_row, enroll_set = np.broadcast_arrays(np.arange(n_q), np.arange(n_h))
             trials = SimpleNamespace(test_asv=q, test_row=test_row, enroll_set=enroll_set)
             assert cos.tobytes() == gathered_cos(trials, ad.Tensor(h)).value.tobytes()
+            np.testing.assert_allclose(cos, per_pair_cos(trials, h), rtol=1e-12, atol=1e-15)
 
     def test_shared_cell_sums_its_pairs_gradients_bitwise(self):
         # cell (0, 1) occurs twice: the backward must sum both pairs'
