@@ -12,8 +12,9 @@ Floats are written with repr so that save(load(f)) is value-exact. The four
 loaders share one line reader. Blank lines are skipped; a wrong field count,
 a value that is not a finite float, a bad label or a repeated id raises a
 DataError whose message starts with "path:line". Embedding values are parsed
-by numpy's C reader, and a file that fails a check is re-read line by line to
-name its first bad line; the values accepted are those of Python's float().
+by numpy's C reader, on every usable CPU for a large file, and a file that
+fails a check is re-read line by line to name its first bad line; the values
+accepted are those of Python's float().
 
 The synthetic generator stands in for the out-of-scope pre-trained encoders:
 it plants spoofed speaker embeddings near the target speaker's centroid so
@@ -24,6 +25,14 @@ two classes linearly separable.
 from __future__ import annotations
 
 import contextlib
+import gc
+import io
+import itertools
+import os
+import signal
+import struct
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +43,9 @@ from .metrics import TRIAL_LABELS, ScoreRecord
 from .sampling import TrainingPool
 
 ENROLL_PER_SPEAKER = 5
+
+# an embedding file gets one parse worker per this many bytes, up to the usable CPUs
+PARSE_CHUNK_BYTES = 1 << 20
 
 # two of every five bona-fide recordings are heavily degraded, so pooling
 # quality matters: plain averaging absorbs the junk entries while attention
@@ -105,12 +117,44 @@ class Trial:
 TrialList = list[Trial]
 
 
-def _read_lines(path, sep: str, n_fields: int, at_least: bool = False, maxsplit: int = -1):
+class _ByteRange(io.RawIOBase):
+    """The next n bytes of a binary file, as a raw stream that closes it."""
+
+    def __init__(self, f, n: int):
+        self._f, self._left = f, n
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, b) -> int:
+        n = self._f.readinto(memoryview(b)[:self._left])
+        self._left -= n
+        return n
+
+    def close(self) -> None:
+        self._f.close()
+        super().close()
+
+
+def _open_text(path, start: int = 0, end: int | None = None):
+    """The UTF-8 text of path, or of its bytes [start, end), with the
+    universal newlines open() reads it with."""
+    if end is None:
+        return open(path, "r", encoding="utf-8")
+    f = open(path, "rb", buffering=0)
+    f.seek(start)
+    return io.TextIOWrapper(io.BufferedReader(_ByteRange(f, end - start), 1 << 16),
+                            encoding="utf-8")
+
+
+def _read_lines(path, sep: str, n_fields: int, at_least: bool = False, maxsplit: int = -1,
+                start: int = 0, end: int | None = None):
     """Yield ("path:line", fields) for every non-blank line of a text file,
-    where fields is line.split(sep, maxsplit): exactly n_fields of them, or at
-    least n_fields when at_least is set. The prefix starts every error."""
+    or of its bytes [start, end), where fields is line.split(sep, maxsplit):
+    exactly n_fields of them, or at least n_fields when at_least is set. The
+    prefix starts every error; its line number counts from start."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with _open_text(path, start, end) as f:
             for lineno, line in enumerate(f, start=1):
                 line = line.rstrip("\n")
                 if not line:
@@ -131,24 +175,183 @@ def _write_lines(path, lines) -> None:
             f.write(line + "\n")
 
 
-def load_embeddings(path) -> dict[str, np.ndarray]:
-    """Read an embedding file into an id -> finite float64 vector map, with
-    numpy's C reader or, for a file it cannot take, line by line."""
+def _parse_range(path, start: int = 0, end: int | None = None):
+    """(ids, values) of the lines in bytes [start, end) of an embedding file,
+    parsed by numpy's C reader: one row per id, all finite. None when a line
+    is one the C reader must not take, or its rows disagree with the ids."""
     ids, widths = [], set()  # value counts; 0 marks a line the C reader must not take
     try:  # errors go to the line walk, which reports an earlier bad value first
-        for _, (utt_id, text) in _read_lines(path, " ", 2, at_least=True, maxsplit=1):
+        for _, (utt_id, text) in _read_lines(path, " ", 2, at_least=True, maxsplit=1,
+                                             start=start, end=end):
             ids.append(utt_id)
             # loadtxt strips these separators from a value's ends, float() does not
             widths.add(0 if any(c in text for c in "\x1c\x1d\x1e\x1f") else text.count(" ") + 1)
     except MalformedLineError:
-        widths.add(0)
-    if len(widths) == 1 and 0 not in widths and len(set(ids)) == len(ids):
-        with contextlib.suppress(ValueError):  # the line walk below names the error
-            values = np.loadtxt(path, dtype=np.float64, delimiter=" ", comments=None,
+        return None
+    if not ids:
+        return ids, np.empty((0, 0))
+    if len(widths) != 1 or 0 in widths:
+        return None
+    try:
+        with _open_text(path, start, end) as f:
+            values = np.loadtxt(f, dtype=np.float64, delimiter=" ", comments=None,
                                 usecols=range(1, widths.pop() + 1), ndmin=2, encoding="utf-8")
-            # loadtxt may drop a row it takes for blank, so the rows are counted
-            if values.shape[0] == len(ids) and np.isfinite(values).all():
-                return dict(zip(ids, values))
+    except ValueError:
+        return None
+    # loadtxt may drop a row it takes for blank, so the rows are counted
+    if values.shape[0] != len(ids) or not np.isfinite(values).all():
+        return None
+    return ids, values
+
+
+def _worker_count(path) -> int:
+    """Processes to parse an embedding file with: one per PARSE_CHUNK_BYTES,
+    up to the usable CPUs. 1 where a fork is unavailable or unsafe, which it
+    is while another thread runs."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
+            or threading.active_count() > 1:
+        return 1
+    try:
+        size = os.path.getsize(path)
+    except OSError:
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), size // PARSE_CHUNK_BYTES))
+
+
+def _byte_ranges(path, n: int) -> list[tuple[int, int]]:
+    """Split a file at k * size / n, each split moved forward past the next
+    newline byte so that it starts a line; empty ranges are dropped."""
+    size = os.path.getsize(path)
+    splits = [0]
+    with open(path, "rb") as f:
+        for k in range(1, n):
+            pos = max(k * size // n, splits[-1])
+            f.seek(pos)
+            while chunk := f.read(1 << 16):
+                if (i := chunk.find(b"\n")) >= 0:
+                    pos += i + 1
+                    break
+                pos += len(chunk)
+            splits.append(pos)
+    splits.append(size)
+    return [(a, b) for a, b in zip(splits, splits[1:]) if a < b]
+
+
+_HEADER = struct.Struct("<3q")  # rows, width, bytes of the newline-joined ids
+
+
+def _parse_in_child(out, inherited, path, start: int, end: int) -> None:
+    """A forked worker: close the inherited pipe ends, parse the range, write
+    it to out and leave the process, with status 0 only once the whole part
+    is written."""
+    status = 1
+    try:
+        gc.disable()  # a collection here could run the caller's finalizers
+        for f in inherited:
+            f.close()
+        part = _parse_range(path, start, end)
+        if part is not None:
+            ids, values = part
+            joined = "\n".join(ids).encode("utf-8")
+            out.write(_HEADER.pack(*values.shape, len(joined)))
+            out.write(joined)
+            out.write(values)
+            out.flush()
+            status = 0
+    finally:
+        os._exit(status)  # never back into the caller's code, nor its stdio buffers
+
+
+def _fill(f, buffer) -> bool:
+    """Read into the whole byte buffer; False when the stream ends first."""
+    view = memoryview(buffer)
+    while view:
+        n = f.readinto(view)
+        if not n:
+            return False
+        view = view[n:]
+    return True
+
+
+def _receive(f):
+    """A worker's (ids, values), or None when it sent less than a whole part."""
+    header = bytearray(_HEADER.size)
+    if not _fill(f, header):
+        return None
+    rows, width, n_bytes = _HEADER.unpack(header)
+    joined, values = bytearray(n_bytes), np.empty((rows, width))
+    if not (_fill(f, joined) and _fill(f, values.reshape(-1).view(np.uint8))):
+        return None
+    return (joined.decode("utf-8").split("\n") if rows else []), values
+
+
+def _parse_forked(path, ranges):
+    """The parts of _parse_range over the ranges: the first parsed here,
+    each other one by a forked child that sends it through a pipe. A part is
+    None when its child failed. None when a child cannot be started or
+    waited for. Children still running when this returns or raises are
+    killed first, and every child is waited for."""
+    children = []  # (pid, read end) of the children not yet waited for
+    try:
+        for start, end in ranges[1:]:
+            r, w = os.pipe()
+            with open(w, "wb") as out:
+                reader = open(r, "rb", buffering=0)
+                try:
+                    with warnings.catch_warnings():
+                        # Python 3.12+ warns of any other OS thread, a BLAS
+                        # pool's among them; no other Python thread runs
+                        # (_worker_count), and a child touches no BLAS
+                        warnings.simplefilter("ignore", DeprecationWarning)
+                        pid = os.fork()
+                except OSError:
+                    reader.close()
+                    raise
+                if pid == 0:
+                    _parse_in_child(out, [reader] + [f for _, f in children], path, start, end)
+                children.append((pid, reader))
+        parts = [_parse_range(path, *ranges[0])]
+        while children:
+            pid, reader = children[0]
+            part = _receive(reader)
+            reader.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            parts.append(part if status == 0 else None)
+        return parts
+    except OSError:
+        return None
+    finally:
+        for pid, reader in children:
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+            reader.close()
+        for pid, _ in children:
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def load_embeddings(path) -> dict[str, np.ndarray]:
+    """Read an embedding file into an id -> finite float64 vector map, with
+    numpy's C reader or, for a file it cannot take, line by line.
+
+    The file is split at line starts into one byte range per
+    PARSE_CHUNK_BYTES, up to one per usable CPU. Each range but the first is
+    parsed by a forked child, so a large file is parsed on every CPU; where
+    fork is missing or another thread runs, the whole file is parsed here.
+    The map is the same either way, with its vectors rows of one writable
+    array per range."""
+    workers = _worker_count(path)
+    ranges = _byte_ranges(path, workers) if workers > 1 else []
+    parts = _parse_forked(path, ranges) if len(ranges) > 1 else None
+    if parts is None:
+        parts = [_parse_range(path)]
+    if all(part is not None for part in parts):
+        ids = [utt_id for part_ids, _ in parts for utt_id in part_ids]
+        widths = {values.shape[1] for part_ids, values in parts if part_ids}
+        rows = sum(len(values) for _, values in parts)
+        if len(widths) == 1 and len(set(ids)) == len(ids) == rows:
+            return dict(zip(ids, itertools.chain.from_iterable(values for _, values in parts)))
     out: dict[str, np.ndarray] = {}
     dim = None
     for where, fields in _read_lines(path, " ", 2, at_least=True):

@@ -39,7 +39,7 @@ class ScoreRecord:
     def __post_init__(self):
         if self.label not in TRIAL_LABELS:
             raise ValueError(f"unknown trial label {self.label!r}")
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise ValueError(
                 f"non-finite score for ({self.claimed_speaker}, {self.test_utterance})"
             )

@@ -161,15 +161,23 @@ def bce_loss(p: Tensor, positive) -> Tensor:
 
 def select_hard(losses, positive_mask, top_n: int) -> list[int]:
     """Indices of the pairs kept for backward, in original pair order:
-    every positive plus the top_n largest-loss negatives. Ties keep their
-    original order (the ranking sort is stable)."""
+    every positive plus the top_n (>= 0) largest-loss negatives, NaN losses
+    ranked last. Of the negatives tied at the cut, the first in pair order
+    are kept, as a stable sort keeps them; np.partition finds the cut
+    without sorting."""
     losses = np.asarray(losses, dtype=np.float64)
     positive = np.asarray(positive_mask, dtype=bool)
     if losses.shape != positive.shape:
         raise ValueError("losses and positive_mask lengths differ")
     negatives = np.flatnonzero(~positive)
-    hardest = negatives[np.argsort(-losses[negatives], kind="stable")[:top_n]]
-    return np.sort(np.concatenate([np.flatnonzero(positive), hardest])).tolist()
+    if top_n < negatives.size:
+        keys = -losses[negatives]  # np.partition, like np.sort, puts NaN last
+        cut = np.partition(keys, top_n - 1)[top_n - 1] if top_n else -np.inf
+        above, tied = ((keys < cut, keys == cut) if not np.isnan(cut)
+                       else (~np.isnan(keys), np.isnan(keys)))
+        above[np.flatnonzero(tied)[:top_n - np.count_nonzero(above)]] = True
+        negatives = negatives[above]
+    return np.sort(np.concatenate([np.flatnonzero(positive), negatives])).tolist()
 
 
 def sgd_step(params: BackendParams, state: OptimizerState, config: TrainConfig,

@@ -3,8 +3,9 @@
 These deliberately avoid the library's fast code paths: plain counting
 loops, midpoint threshold sweeps, a per-pair training loss, the training
 step spelled in the generic autodiff ops, a sampler that regroups its
-records on every draw and a per-value embedding parser, so they can serve
-as oracles for the implementations under test.
+records on every draw, hard selection by a full stable sort and a per-value
+embedding parser, so they can serve as oracles for the implementations
+under test.
 """
 
 import math
@@ -140,6 +141,16 @@ def tape_batch_loss(params, pairs, config):
     weights = np.zeros((1, len(positive)))
     weights[0, selected] = 1.0
     return ad.affine(ad.row_dot(losses, ad.Tensor(weights)), 1.0 / len(selected)), selected
+
+
+def select_hard_by_sort(losses, positive_mask, top_n: int) -> list[int]:
+    """Reference hard selection: every positive plus the first top_n
+    negatives of a stable sort by descending loss, in pair order."""
+    losses = np.asarray(losses, dtype=np.float64)
+    positive = np.asarray(positive_mask, dtype=bool)
+    negatives = np.flatnonzero(~positive)
+    hardest = negatives[np.argsort(-losses[negatives], kind="stable")[:top_n]]
+    return np.sort(np.concatenate([np.flatnonzero(positive), hardest])).tolist()
 
 
 def _group_pool(pool) -> dict[str, tuple[list, list]]:

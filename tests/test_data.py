@@ -1,13 +1,19 @@
 """Loader/writer round-trips, malformed-file rejection, generator geometry."""
 
 import math
+import os
 import re
+import signal
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sasvbackend import cli
 from sasvbackend import data as dio
 from sasvbackend.metrics import ScoreRecord
 
@@ -83,12 +89,36 @@ class TestEmbeddingsIO:
 
 def load_outcome(loader, path):
     """A loader's result as comparable values: the ids in order with each
-    vector's bytes and shape, or the exception's class and message."""
+    vector's bytes, shape and writability, or the exception's class and
+    message."""
     try:
         loaded = loader(path)
     except dio.DataError as exc:
         return type(exc), str(exc)
-    return [(u, v.dtype, v.shape, v.tobytes()) for u, v in loaded.items()]
+    return [(u, v.dtype, v.shape, v.tobytes(), v.flags.writeable) for u, v in loaded.items()]
+
+
+# byte edits that make a small embedding file hit every parse path
+EDITS = st.lists(st.tuples(
+    st.sampled_from(["set", "insert", "delete"]),
+    st.integers(0, 200),
+    st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"#",
+                     b'"', b"'", b"_", b"e", b"+", b"-", b".", b"0", b"1", b"7", b"nan",
+                     b"inf", b"\xff", b"\x00", "\u0661".encode()]),
+), max_size=4)
+
+
+def mutated_file(edits, width: int, rows: int) -> bytes:
+    data = bytearray(b"".join(
+        b"u%d" % r + b"".join(b" %r" % ((r + 1) * 0.1 - c) for c in range(width)) + b"\n"
+        for r in range(rows)))
+    for op, pos, byte in edits:
+        pos %= len(data) + 1
+        if op == "insert":
+            data[pos:pos] = byte
+        elif pos < len(data):
+            data[pos:pos + 1] = byte if op == "set" else b""
+    return bytes(data)
 
 
 class TestEmbeddingParsePaths:
@@ -134,13 +164,20 @@ class TestEmbeddingParsePaths:
     def test_one_line_and_1d_files(self, tmp_path, text, shapes):
         p = tmp_path / "e.txt"
         p.write_text(text)
-        assert [shape for _, _, shape, _ in self.check(p)] == shapes
+        assert [shape for _, _, shape, _, _ in self.check(p)] == shapes
 
     @pytest.mark.parametrize("text", ["\n", "\n\n\r\n", "\r"])
     def test_blank_only_file_is_empty(self, tmp_path, text):
         p = tmp_path / "e.txt"
         p.write_bytes(text.encode())
         assert self.check(p) == [] and dio.load_embeddings(p) == {}
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz"])
+    def test_compressor_suffix_is_read_as_text(self, tmp_path, suffix):
+        # np.loadtxt given a path picks a decompressor by its suffix
+        p = tmp_path / f"e.txt{suffix}"
+        p.write_text("a 1.0 2.0\nb 3.0 4.0\n")
+        assert [utt_id for utt_id, *_ in self.check(p)] == ["a", "b"]
 
     def test_row_count_short_of_ids_falls_back(self, tmp_path, monkeypatch):
         p = tmp_path / "e.txt"
@@ -149,27 +186,201 @@ class TestEmbeddingParsePaths:
         monkeypatch.setattr(dio.np, "loadtxt", lambda *a, **k: loadtxt(*a, **k)[1:])
         assert self.check(p)[0][0] == "a"
 
-    @given(edits=st.lists(st.tuples(
-        st.sampled_from(["set", "insert", "delete"]),
-        st.integers(0, 200),
-        st.sampled_from([b" ", b"\n", b"\r", b"\t", b"\x0b", b"\x0c", b"\x1c", b"\x1f", b"#",
-                         b'"', b"'", b"_", b"e", b"+", b"-", b".", b"0", b"1", b"7", b"nan",
-                         b"inf", b"\xff", b"\x00", "\u0661".encode()]),
-    ), max_size=4), width=st.integers(1, 3), rows=st.integers(1, 4))
+    @given(edits=EDITS, width=st.integers(1, 3), rows=st.integers(1, 4))
     @settings(max_examples=300, deadline=None)
     def test_mutated_file_matches_reference(self, tmp_path_factory, edits, width, rows):
-        data = bytearray(b"".join(
-            b"u%d" % r + b"".join(b" %r" % ((r + 1) * 0.1 - c) for c in range(width)) + b"\n"
-            for r in range(rows)))
-        for op, pos, byte in edits:
-            pos %= len(data) + 1
-            if op == "insert":
-                data[pos:pos] = byte
-            elif pos < len(data):
-                data[pos:pos + 1] = byte if op == "set" else b""
         p = tmp_path_factory.mktemp("emb") / "e.txt"
-        p.write_bytes(bytes(data))
+        p.write_bytes(mutated_file(edits, width, rows))
         self.check(p)
+
+
+def embedding_lines(rows: int, width: int, ids=None) -> list[str]:
+    rng = np.random.default_rng(rows * width)
+    ids = ids or [f"utt{i:04d}" for i in range(rows)]
+    return [u + " " + " ".join(map(repr, rng.standard_normal(width).tolist())) for u in ids]
+
+
+def force_workers(monkeypatch, workers: int) -> list:
+    """Make load_embeddings split every file for this many workers; returns
+    a list that each call's byte ranges are appended to."""
+    used, byte_ranges = [], dio._byte_ranges
+    monkeypatch.setattr(dio, "_worker_count", lambda path: workers)
+    monkeypatch.setattr(dio, "_byte_ranges",
+                        lambda path, n: used.append(byte_ranges(path, n)) or used[-1])
+    return used
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+class TestForkedParse:
+    """A file split into byte ranges that forked children parse gives the
+    serial parse's map: the same ids in order, value bytes and writable
+    vectors, or the same error; no call leaves a child behind."""
+
+    def check(self, monkeypatch, path, workers):
+        """The serial outcome, which the forked one must equal; returns it
+        with the byte ranges of the forked parse."""
+        serial = load_outcome(dio.load_embeddings, path)
+        used = force_workers(monkeypatch, workers)
+        forked = load_outcome(dio.load_embeddings, path)
+        assert_no_child_left()
+        assert forked == serial
+        return serial, used[0]
+
+    def arrays(self, path) -> int:
+        """How many parsed arrays the map's vectors are rows of: one per
+        range with ids, unless the line walk, which gives none, ran."""
+        bases = [v.base for v in dio.load_embeddings(path).values()]
+        assert_no_child_left()
+        return 0 if any(b is None for b in bases) else len({id(b) for b in bases})
+
+    @pytest.mark.parametrize("text", [
+        "\n".join(embedding_lines(40, 192)) + "\n",
+        "\n".join(embedding_lines(40, 160)) + "\n",
+        "\r\n".join(embedding_lines(40, 16)) + "\r\n",
+        "\n".join(embedding_lines(40, 16, [f"spk-\u00fc{i}-\u8bed\u97f3" for i in range(40)])),
+        "\n".join(embedding_lines(3, 8)) + "\n" * 3000 + "\r\n" * 3000 + "\n\n".join(
+            embedding_lines(3, 8, ["x", "y", "z"])) + "\n",
+    ], ids=["asv", "cm", "crlf", "non-ascii-ids-no-trailing-newline", "blank-lines-at-splits"])
+    def test_map_equals_serial(self, tmp_path, monkeypatch, workers, text):
+        p = tmp_path / "e.txt"
+        p.write_bytes(text.encode())
+        outcome, ranges = self.check(monkeypatch, p, workers)
+        assert isinstance(outcome, list) and len(ranges) == workers
+        blank_middle = "\n" * 3000 in text and workers == 3  # a range of blank lines only
+        assert self.arrays(p) == workers - blank_middle
+
+    def test_no_newline_after_the_midpoint(self, tmp_path, monkeypatch, workers):
+        lines = embedding_lines(40, 16)
+        p = tmp_path / "e.txt"
+        p.write_bytes(("\n".join(lines[:20]) + "\n" + "\r".join(lines[20:]) + "\r").encode())
+        outcome, ranges = self.check(monkeypatch, p, workers)
+        assert len(outcome) == 40 and len(ranges) == workers - 1 == self.arrays(p)
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: line.replace(" ", " x", 1),
+        lambda line: line.replace(" ", " nan ", 1),
+        lambda line: line.rsplit(" ", 1)[0],
+        lambda line: line + "\x1c",
+        lambda line: "utt0000" + line[7:],
+    ], ids=["bad-value", "non-finite", "width", "separator", "duplicate-id"])
+    def test_bad_line_in_a_child_range_is_named_as_serially(self, tmp_path, monkeypatch,
+                                                            capsys, workers, edit):
+        lines = embedding_lines(30, 16)
+        lines[-2] = edit(lines[-2])
+        p = tmp_path / "e.txt"
+        p.write_text("\n".join(lines) + "\n")
+        (tmp_path / "m.tsv").write_text("spk\tutt0000\tbonafide\n")
+        argv = ["train", "--manifest", str(tmp_path / "m.tsv"), "--asv-embeddings", str(p),
+                "--cm-embeddings", str(p), "--out", str(tmp_path / "run")]
+        serial = cli.main(argv), capsys.readouterr().err
+        outcome, ranges = self.check(monkeypatch, p, workers)
+        assert f"{p}:29: " in outcome[1] and ranges[-1][0] < p.stat().st_size - len(lines[-1])
+        assert (cli.main(argv), capsys.readouterr().err) == serial
+        assert serial[0] == 2
+        assert_no_child_left()
+
+    def test_child_that_dies_falls_back_to_the_line_walk(self, tmp_path, monkeypatch, workers):
+        p = tmp_path / "e.txt"
+        p.write_text("\n".join(embedding_lines(30, 16)) + "\n")
+        parse_range, parent = dio._parse_range, os.getpid()
+
+        def dying(path, start=0, end=None):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return parse_range(path, start, end)
+        monkeypatch.setattr(dio, "_parse_range", dying)
+        assert len(self.check(monkeypatch, p, workers)[0]) == 30
+        assert self.arrays(p) == 0
+
+    def test_fork_warning_of_other_threads_is_no_error(self, tmp_path, monkeypatch, workers):
+        # Python 3.12+ warns like this on a fork while any other OS thread
+        # runs, an idle BLAS pool's too
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                          "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+            return fork()
+        monkeypatch.setattr(os, "fork", warning_fork)
+        p = tmp_path / "e.txt"
+        p.write_text("\n".join(embedding_lines(30, 16)) + "\n")
+        assert len(self.check(monkeypatch, p, workers)[0]) == 30
+        assert self.arrays(p) == workers
+
+    @pytest.mark.parametrize("child_delay", [0, 60])
+    def test_interrupt_in_the_parent_kills_its_children(self, tmp_path, monkeypatch, workers,
+                                                        child_delay):
+        # each child's rows fill more than a pipe's buffer, so a child blocks
+        # in write until its pipe is closed; a child still parsing must be
+        # killed, or waiting for it takes as long as its parse
+        p = tmp_path / "e.txt"
+        p.write_text("\n".join(embedding_lines(300, 192)) + "\n")
+        parse_range, parent = dio._parse_range, os.getpid()
+
+        def interrupted(path, start=0, end=None):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(child_delay)
+            return parse_range(path, start, end)
+
+        def hung(signum, frame):
+            raise AssertionError("load_embeddings hung")
+        monkeypatch.setattr(dio, "_parse_range", interrupted)
+        force_workers(monkeypatch, workers)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                dio.load_embeddings(p)
+            assert time.monotonic() - t0 < 10
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+
+    @given(edits=EDITS, width=st.integers(1, 3), rows=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_mutated_file_matches_reference(self, tmp_path_factory, workers, edits, width, rows):
+        p = tmp_path_factory.mktemp("emb") / "e.txt"
+        p.write_bytes(mutated_file(edits, width, rows))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            force_workers(monkeypatch, workers)
+            assert load_outcome(dio.load_embeddings, p) == load_outcome(load_embeddings_by_line, p)
+        assert_no_child_left()
+
+
+def test_worker_count(tmp_path, monkeypatch):
+    """One worker per PARSE_CHUNK_BYTES up to the usable CPUs, and one
+    without fork or CPU affinity, or while another thread runs."""
+    p = tmp_path / "e.txt"
+    p.write_bytes(b"u 1.0\n" * 1000)
+    assert dio._worker_count(p) == 1  # under 1 MiB
+    monkeypatch.setattr(dio, "PARSE_CHUNK_BYTES", 1000)
+    assert dio._worker_count(p) == min(len(os.sched_getaffinity(0)), 6)
+    assert dio._worker_count(tmp_path / "missing.txt") == 1
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert dio._worker_count(p) == 4
+        m.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert dio._worker_count(p) == 1
+    for name in ("fork", "sched_getaffinity"):
+        with monkeypatch.context() as m:
+            m.delattr(os, name)
+            assert dio._worker_count(p) == 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert dio._worker_count(p) == 1
+    finally:
+        release.set()
+        thread.join()
 
 
 class TestManifestIO:

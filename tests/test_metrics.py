@@ -1,5 +1,6 @@
 """EER tests against an independent brute-force threshold-sweep oracle."""
 
+import math
 import warnings
 
 import numpy as np
@@ -165,6 +166,16 @@ class TestScoreRecord:
     def test_non_finite_score_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             mt.ScoreRecord("s", "u", float("nan"), "target")
+
+    @pytest.mark.parametrize("score", [np.float64("inf"), -math.inf])
+    def test_infinite_score_names_the_trial(self, score):
+        with pytest.raises(ValueError, match=r"^non-finite score for \(s, u\)$"):
+            mt.ScoreRecord("s", "u", score, "target")
+
+    @pytest.mark.parametrize("score", ["0.5", None])
+    def test_non_number_score_raises_type_error(self, score):
+        with pytest.raises(TypeError):
+            mt.ScoreRecord("s", "u", score, "target")
 
 
 class TestScoreSum:

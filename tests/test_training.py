@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import per_pair_batch_loss, tape_batch_loss
+from oracles import per_pair_batch_loss, select_hard_by_sort, tape_batch_loss
 
 from sasvbackend import autodiff as ad
 from sasvbackend import data as dio
@@ -99,6 +99,21 @@ class TestSelectHard:
         losses = [1.0, 1.0, 1.0, 1.0]
         kept = tr.select_hard(losses, [False] * 4, 2)
         assert kept == [0, 1]
+
+
+@given(data=st.data(), n=st.integers(0, 60), levels=st.integers(1, 8))
+@settings(max_examples=200, deadline=None)
+def test_select_hard_matches_stable_sort(data, n, levels):
+    """The partition-based selection keeps the pairs a full stable sort
+    keeps: few distinct losses make heavy ties, and top_n runs from 0 to
+    past the negative count."""
+    value = st.one_of(st.integers(0, levels - 1).map(float),
+                      st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]),
+                      st.floats(allow_nan=True))
+    losses = data.draw(st.lists(value, min_size=n, max_size=n))
+    positive = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    top_n = data.draw(st.integers(0, n - sum(positive) + 2))
+    assert tr.select_hard(losses, positive, top_n) == select_hard_by_sort(losses, positive, top_n)
 
 
 class TestSgdStep:
