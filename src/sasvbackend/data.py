@@ -14,7 +14,9 @@ a value that is not a finite float, a bad label or a repeated id raises a
 DataError whose message starts with "path:line". Embedding values are parsed
 by numpy's C reader, on every usable CPU for a large file, and a file that
 fails a check is re-read line by line to name its first bad line; the values
-accepted are those of Python's float().
+accepted are those of Python's float(). A large embedding map is likewise
+written on every usable CPU, to the same bytes as one process writes; both
+directions fork their workers through one helper.
 
 The synthetic generator stands in for the out-of-scope pre-trained encoders:
 it plants spoofed speaker embeddings near the target speaker's centroid so
@@ -44,8 +46,9 @@ from .sampling import TrainingPool
 
 ENROLL_PER_SPEAKER = 5
 
-# an embedding file gets one parse worker per this many bytes, up to the usable CPUs
-PARSE_CHUNK_BYTES = 1 << 20
+# an embedding file, or map, gets one fork worker per this many bytes (of the
+# file to parse, or of float64 values to write), up to the usable CPUs
+FORK_CHUNK_BYTES = 1 << 20
 
 # two of every five bona-fide recordings are heavily degraded, so pooling
 # quality matters: plain averaging absorbs the junk entries while attention
@@ -204,18 +207,22 @@ def _parse_range(path, start: int = 0, end: int | None = None):
     return ids, values
 
 
-def _worker_count(path) -> int:
-    """Processes to parse an embedding file with: one per PARSE_CHUNK_BYTES,
-    up to the usable CPUs. 1 where a fork is unavailable or unsafe, which it
-    is while another thread runs."""
+def _workers_for(n_bytes: int) -> int:
+    """Processes to read or write n_bytes of embeddings with: one per
+    FORK_CHUNK_BYTES, up to the usable CPUs. 1 where a fork is unavailable or
+    unsafe, which it is while another thread runs."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) \
             or threading.active_count() > 1:
         return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_bytes // FORK_CHUNK_BYTES))
+
+
+def _worker_count(path) -> int:
+    """Processes to parse an embedding file with, by its size."""
     try:
-        size = os.path.getsize(path)
+        return _workers_for(os.path.getsize(path))
     except OSError:
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), size // PARSE_CHUNK_BYTES))
 
 
 def _byte_ranges(path, n: int) -> list[tuple[int, int]]:
@@ -240,26 +247,16 @@ def _byte_ranges(path, n: int) -> list[tuple[int, int]]:
 _HEADER = struct.Struct("<3q")  # rows, width, bytes of the newline-joined ids
 
 
-def _parse_in_child(out, inherited, path, start: int, end: int) -> None:
-    """A forked worker: close the inherited pipe ends, parse the range, write
-    it to out and leave the process, with status 0 only once the whole part
-    is written."""
-    status = 1
-    try:
-        gc.disable()  # a collection here could run the caller's finalizers
-        for f in inherited:
-            f.close()
-        part = _parse_range(path, start, end)
-        if part is not None:
-            ids, values = part
-            joined = "\n".join(ids).encode("utf-8")
-            out.write(_HEADER.pack(*values.shape, len(joined)))
-            out.write(joined)
-            out.write(values)
-            out.flush()
-            status = 0
-    finally:
-        os._exit(status)  # never back into the caller's code, nor its stdio buffers
+def _send_part(out, path, start: int, end: int) -> None:
+    """A parse worker's part: _parse_range of the bytes [start, end) of
+    path, or nothing when the range is one it rejects."""
+    part = _parse_range(path, start, end)
+    if part is not None:
+        ids, values = part
+        joined = "\n".join(ids).encode("utf-8")
+        out.write(_HEADER.pack(*values.shape, len(joined)))
+        out.write(joined)
+        out.write(values)
 
 
 def _fill(f, buffer) -> bool:
@@ -285,42 +282,67 @@ def _receive(f):
     return (joined.decode("utf-8").split("\n") if rows else []), values
 
 
-def _parse_forked(path, ranges):
-    """The parts of _parse_range over the ranges: the first parsed here,
-    each other one by a forked child that sends it through a pipe. A part is
-    None when its child failed. None when a child cannot be started or
-    waited for. Children still running when this returns or raises are
-    killed first, and every child is waited for."""
+def _run_child(work, task, out, inherited) -> None:
+    """A forked worker: close the inherited pipe ends, run work(task, out)
+    and leave the process, with status 0 only once out is flushed."""
+    status = 1
+    try:
+        gc.disable()  # a collection here could run the caller's finalizers
+        for f in inherited:
+            f.close()
+        work(task, out)
+        out.flush()
+        status = 0
+    finally:
+        os._exit(status)  # never back into the caller's code, nor its stdio buffers
+
+
+@contextlib.contextmanager
+def _forked(tasks, work):
+    """Fork one child per task, which runs work(task, out) with out the
+    write end of a pipe to this process. Yields results(receive), which
+    gives, per task in order, what receive(read end) returned once its child
+    exited with status 0, or None where the child could not be started,
+    exited otherwise or receive returned None. Forking stops at the first
+    fork that fails. On leaving, children not yet waited for are killed
+    first, and every child is waited for."""
     children = []  # (pid, read end) of the children not yet waited for
     try:
-        for start, end in ranges[1:]:
-            r, w = os.pipe()
+        for task in tasks:
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
             with open(w, "wb") as out:
                 reader = open(r, "rb", buffering=0)
                 try:
                     with warnings.catch_warnings():
                         # Python 3.12+ warns of any other OS thread, a BLAS
                         # pool's among them; no other Python thread runs
-                        # (_worker_count), and a child touches no BLAS
+                        # (_workers_for), and a child touches no BLAS
                         warnings.simplefilter("ignore", DeprecationWarning)
                         pid = os.fork()
                 except OSError:
                     reader.close()
-                    raise
+                    break
                 if pid == 0:
-                    _parse_in_child(out, [reader] + [f for _, f in children], path, start, end)
+                    _run_child(work, task, out, [reader] + [f for _, f in children])
                 children.append((pid, reader))
-        parts = [_parse_range(path, *ranges[0])]
-        while children:
-            pid, reader = children[0]
-            part = _receive(reader)
-            reader.close()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            parts.append(part if status == 0 else None)
-        return parts
-    except OSError:
-        return None
+        started = len(children)
+
+        def results(receive):
+            for _ in range(started):
+                pid, reader = children[0]
+                result = receive(reader)
+                reader.close()
+                try:
+                    _, status = os.waitpid(pid, 0)
+                except ChildProcessError:  # reaped elsewhere: its status is unknown
+                    status = -1
+                children.pop(0)
+                yield result if status == 0 else None
+            yield from itertools.repeat(None, len(tasks) - started)
+        yield results
     finally:
         for pid, reader in children:
             with contextlib.suppress(OSError):
@@ -336,15 +358,19 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     numpy's C reader or, for a file it cannot take, line by line.
 
     The file is split at line starts into one byte range per
-    PARSE_CHUNK_BYTES, up to one per usable CPU. Each range but the first is
+    FORK_CHUNK_BYTES, up to one per usable CPU. Each range but the first is
     parsed by a forked child, so a large file is parsed on every CPU; where
-    fork is missing or another thread runs, the whole file is parsed here.
-    The map is the same either way, with its vectors rows of one writable
-    array per range."""
+    fork is missing or another thread runs, the whole file is parsed here,
+    and where a child fails or cannot be started, line by line. The map is
+    the same either way, with its vectors rows of one writable array per
+    range when no child failed."""
     workers = _worker_count(path)
     ranges = _byte_ranges(path, workers) if workers > 1 else []
-    parts = _parse_forked(path, ranges) if len(ranges) > 1 else None
-    if parts is None:
+    if len(ranges) > 1:
+        with _forked(ranges[1:], lambda task, out: _send_part(out, path, *task)) as results:
+            parts = [_parse_range(path, *ranges[0])]
+            parts.extend(results(_receive))
+    else:
         parts = [_parse_range(path)]
     if all(part is not None for part in parts):
         ids = [utt_id for part_ids, _ in parts for utt_id in part_ids]
@@ -372,9 +398,94 @@ def load_embeddings(path) -> dict[str, np.ndarray]:
     return out
 
 
+def _checked_rows(embeddings) -> list[tuple[str, np.ndarray]]:
+    """The map's (id, float64 vector) pairs; ValueError names the first id
+    whose line load_embeddings would reject or read back otherwise."""
+    rows = []
+    for utt_id, values in embeddings.items():
+        if not utt_id or any(c in utt_id for c in " \n\r"):
+            raise ValueError(f"embedding id {utt_id!r} is empty or holds a space or line break")
+        vector = np.asarray(values, np.float64)
+        if vector.ndim != 1 or not vector.size:
+            raise ValueError(f"embedding {utt_id!r} is not a non-empty 1-D vector "
+                             f"(shape {vector.shape})")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"embedding {utt_id!r} holds a non-finite value")
+        rows.append((utt_id, vector))
+    return rows
+
+
+def _embedding_lines(rows, start: int, end: int):
+    """The newline-ended lines of rows [start, end) of an embedding file."""
+    for utt_id, vector in rows[start:end]:
+        yield utt_id + " " + " ".join(map(repr, vector.tolist())) + "\n"
+
+
+def _write_rows(f, rows, start: int, end: int) -> None:
+    for line in _embedding_lines(rows, start, end):
+        f.write(line.encode("utf-8"))
+
+
+_LENGTH = struct.Struct("<q")  # bytes of a write worker's payload
+
+
+def _send_lines(out, rows, start: int, end: int) -> None:
+    """A write worker's payload: the lines of rows [start, end), built
+    whole so that the worker formats them while the caller formats its own
+    range, after their length."""
+    payload = "".join(_embedding_lines(rows, start, end)).encode("utf-8")
+    out.write(_LENGTH.pack(len(payload)))
+    out.write(payload)
+
+
+def _copy_payload(f, out) -> bool:
+    """Copy a write worker's payload from f to out in chunks of at most a
+    pipe's buffer; False when it sent less than its length."""
+    header = bytearray(_LENGTH.size)
+    if not _fill(f, header):
+        return False
+    (left,) = _LENGTH.unpack(header)
+    buffer = memoryview(bytearray(min(left, 1 << 16)))
+    while left:
+        chunk = buffer[:min(left, len(buffer))]
+        if not _fill(f, chunk):
+            return False
+        out.write(chunk)
+        left -= len(chunk)
+    return True
+
+
 def save_embeddings(embeddings: dict[str, np.ndarray], path) -> None:
-    _write_lines(path, (utt_id + " " + " ".join(map(repr, np.asarray(values, np.float64).tolist()))
-                        for utt_id, values in embeddings.items()))
+    """Write an id -> vector map as an embedding file, one line per id in
+    the map's order, each value its float64 repr.
+
+    Raises ValueError, and writes nothing, when an id is empty or holds a
+    space, "\\n" or "\\r", or a vector is not 1-D, is empty or holds a
+    non-finite value: a file load_embeddings would reject or read back
+    otherwise. Vectors may differ in length.
+
+    The rows are split into one range per FORK_CHUNK_BYTES of float64
+    values, up to one per usable CPU, as load_embeddings splits a file.
+    The first range is formatted here and streamed to the file; each other
+    one by a forked child that sends its lines through a pipe, and they are
+    copied into the file in order. A range whose child fails or cannot be
+    started is formatted here instead. The bytes do not depend on the
+    worker count."""
+    rows = _checked_rows(embeddings)
+    workers = max(1, min(len(rows), _workers_for(8 * sum(v.size for _, v in rows))))
+    bounds = [k * len(rows) // workers for k in range(workers + 1)]
+    ranges = list(zip(bounds, bounds[1:]))
+    # the file is opened after the fork, so no child holds it
+    with _forked(ranges[1:], lambda task, out: _send_lines(out, rows, *task)) as results, \
+            open(path, "wb") as f:
+        _write_rows(f, rows, *ranges[0])
+        start = f.tell()
+        for task, copied in zip(ranges[1:], results(lambda reader: _copy_payload(reader, f))):
+            if not copied:
+                f.seek(start)
+                f.truncate()
+                _write_rows(f, rows, *task)
+            start = f.tell()
 
 
 def load_manifest(path) -> DatasetManifest:

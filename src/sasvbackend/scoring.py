@@ -35,11 +35,14 @@ SCORERS = ("fused", "asv_only", "score_sum")
 # limits of one forward pass, which bound peak memory: trials, which bound
 # the distinct test rows a pass gathers (unbounded, score-eval's peak RSS
 # rose from about 145 to 157 MB), and enrollment rows (distinct sets x set
-# size), which dominate when sets are long and rarely shared. Together they
-# bound the ASV head's test rows x sets product to 1,024 x 1,024 values
-# (8 MB); a score-eval pass, about 990 rows x 28 sets, holds about 210 KB
+# size), which dominate when sets are long and rarely shared. SCORE_CELLS
+# bounds the ASV head's product of distinct test rows and distinct sets,
+# which the other two let reach 1,024 x 1,024 (8 MB, and 9.2 ms for 1,024
+# trials against unshared one-entry sets); a score-eval pass, about 990
+# rows x 28 sets, holds about 27,700 cells and is not split by it
 SCORE_CHUNK = 1024
 SCORE_POOL_ROWS = 1024
+SCORE_CELLS = 1 << 16
 
 
 def _index(keys) -> tuple[dict, np.ndarray]:
@@ -66,16 +69,20 @@ def _chunks(trials: TrialList):
     set size; a pass holds sets of one size."""
     chunk: list[int] = []
     sets: set = set()
+    tests: set = set()
     for i in sorted(range(len(trials)), key=lambda i: len(trials[i].enroll_ids)):
         t = trials[i]
         key = (t.claimed_speaker, t.enroll_ids)
-        rows = (len(sets) + (key not in sets)) * len(t.enroll_ids)
-        if chunk and (len(chunk) == SCORE_CHUNK or rows > SCORE_POOL_ROWS
+        n_sets = len(sets) + (key not in sets)
+        cells = (len(tests) + (t.test_id not in tests)) * n_sets
+        if chunk and (len(chunk) == SCORE_CHUNK or n_sets * len(t.enroll_ids) > SCORE_POOL_ROWS
+                      or cells > SCORE_CELLS
                       or len(t.enroll_ids) != len(trials[chunk[-1]].enroll_ids)):
             yield chunk
-            chunk, sets = [], set()
+            chunk, sets, tests = [], set(), set()
         chunk.append(i)
         sets.add(key)
+        tests.add(t.test_id)
     if chunk:
         yield chunk
 
@@ -85,7 +92,8 @@ def score_trials(params: BackendParams, trials: TrialList, asv_map, cm_map,
     """Produce one ScoreRecord per trial, in trial order.
 
     Trials are scored in forward passes of one enrollment set size, at
-    most SCORE_CHUNK trials and at most SCORE_POOL_ROWS enrollment rows. A
+    most SCORE_CHUNK trials, SCORE_POOL_ROWS enrollment rows and
+    SCORE_CELLS distinct test rows x distinct sets. A
     trial's score matches scoring it on its own to round-off (about 1e-16
     relative), not to the last bit.
     """

@@ -86,6 +86,25 @@ class TestEmbeddingsIO:
                            for u, v in vectors.items())
         assert (tmp_path / "e.txt").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("utt_id,values", [
+        ("a 1.0", [2.0]),  # read back as id "a" with values [1.0, 2.0]
+        ("", [1.0]),
+        ("a\nb", [1.0]),
+        ("a\rb", [1.0]),
+        ("u", [[1.0, 2.0]]),
+        ("u", 1.0),
+        ("u", []),
+        ("u", [1.0, math.nan]),
+        ("u", [math.inf, 1.0]),
+    ], ids=["space-in-id", "empty-id", "newline-in-id", "return-in-id", "2-d", "0-d",
+            "empty-vector", "nan", "inf"])
+    def test_save_rejects_a_map_it_cannot_read_back(self, tmp_path, utt_id, values):
+        p = tmp_path / "e.txt"
+        p.write_text("old\n")
+        with pytest.raises(ValueError, match=re.escape(repr(utt_id))):
+            dio.save_embeddings({"ok": [1.0, 2.0], utt_id: values, "b": [3.0, 4.0]}, p)
+        assert p.read_text() == "old\n"  # nothing written
+
 
 def load_outcome(loader, path):
     """A loader's result as comparable values: the ids in order with each
@@ -356,12 +375,19 @@ class TestForkedParse:
 
 
 def test_worker_count(tmp_path, monkeypatch):
-    """One worker per PARSE_CHUNK_BYTES up to the usable CPUs, and one
-    without fork or CPU affinity, or while another thread runs."""
+    """One worker per FORK_CHUNK_BYTES up to the usable CPUs, and one
+    without fork or CPU affinity, or while another thread runs; a file
+    counts its size, a map to write its float64 values' bytes."""
     p = tmp_path / "e.txt"
     p.write_bytes(b"u 1.0\n" * 1000)
     assert dio._worker_count(p) == 1  # under 1 MiB
-    monkeypatch.setattr(dio, "PARSE_CHUNK_BYTES", 1000)
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        # the trend corpus's 2,800-row maps: the 96-d ASV map forks, the 24-d CM map does not
+        assert dio._workers_for(2800 * 96 * 8) == 2
+        assert dio._workers_for(2800 * 24 * 8) == 1
+        assert dio._workers_for(8240 * 160 * 8) == 4
+    monkeypatch.setattr(dio, "FORK_CHUNK_BYTES", 1000)
     assert dio._worker_count(p) == min(len(os.sched_getaffinity(0)), 6)
     assert dio._worker_count(tmp_path / "missing.txt") == 1
     with monkeypatch.context() as m:
@@ -378,9 +404,163 @@ def test_worker_count(tmp_path, monkeypatch):
     thread.start()
     try:
         assert dio._worker_count(p) == 1
+        assert dio._workers_for(1 << 30) == 1
     finally:
         release.set()
         thread.join()
+
+
+def counted_forks(monkeypatch) -> list:
+    """The pids of the children forked from here from now on."""
+    made, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            made.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def test_save_forks_by_the_maps_float_bytes(tmp_path, monkeypatch):
+    """save_embeddings splits a map of 2 MiB of float64 values for two
+    workers, on two or more usable CPUs, and keeps a smaller one whole."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+    made = counted_forks(monkeypatch)
+    rng = np.random.default_rng(0)
+    for width, forks in ((96, 1), (24, 0)):
+        vectors = {f"u{i:04d}": rng.standard_normal(width) for i in range(2800)}
+        dio.save_embeddings(vectors, tmp_path / "e.txt")
+        assert_no_child_left()
+        assert len(made) == forks
+        loaded = dio.load_embeddings(tmp_path / "e.txt")
+        assert all(np.array_equal(loaded[u], v) for u, v in vectors.items())
+        made.clear()  # the load forks too
+
+
+def serial_save(vectors, path) -> bytes:
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(dio, "_workers_for", lambda n_bytes: 1)
+        made = counted_forks(monkeypatch)
+        dio.save_embeddings(vectors, path)
+        assert not made
+    return path.read_bytes()
+
+
+def write_maps() -> dict:
+    rng = np.random.default_rng(7)
+    special = [-0.0, 5e-324, 1e308, 1e16, 1e-5, -1e308, 0.1]
+    return {
+        "asv": {f"utt{i:04d}": rng.standard_normal(192) for i in range(40)},
+        "cm": {f"utt{i:04d}": rng.standard_normal(160) for i in range(40)},
+        "non-ascii-ids": {f"spk-\u00fc{i}-\u8bed\u97f3": rng.standard_normal(16)
+                          for i in range(40)},
+        "float32": {f"u{i}": rng.standard_normal(16).astype(np.float32) for i in range(40)},
+        "int": {f"u{i}": rng.integers(-10**6, 10**6, 16) for i in range(40)},
+        "special-values": {f"u{i}": np.roll(special, i) for i in range(40)},
+    }
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+class TestForkedWrite:
+    """A map whose row ranges forked children format writes the serial
+    bytes, also when a child fails or cannot be started; no call leaves a
+    child behind."""
+
+    def check(self, monkeypatch, tmp_path, vectors, workers, children=None):
+        """Write vectors with the given worker count and compare with the
+        serial bytes; children is the forks expected, workers - 1 unless
+        given."""
+        serial = serial_save(vectors, tmp_path / "serial.txt")
+        monkeypatch.setattr(dio, "_workers_for", lambda n_bytes: workers)
+        made = counted_forks(monkeypatch)
+        dio.save_embeddings(vectors, tmp_path / "forked.txt")
+        assert_no_child_left()
+        assert (tmp_path / "forked.txt").read_bytes() == serial
+        assert len(made) == (workers - 1 if children is None else children)
+        return serial
+
+    @pytest.mark.parametrize("name", list(write_maps()))
+    def test_bytes_equal_serial(self, tmp_path, monkeypatch, workers, name):
+        vectors = write_maps()[name]
+        serial = self.check(monkeypatch, tmp_path, vectors, workers)
+        loaded = dio.load_embeddings(tmp_path / "forked.txt")
+        assert list(loaded) == list(vectors) and len(serial.splitlines()) == 40
+        assert all(np.array_equal(loaded[u], np.asarray(v, np.float64))
+                   for u, v in vectors.items())
+
+    def test_empty_map(self, tmp_path, monkeypatch, workers):
+        assert self.check(monkeypatch, tmp_path, {}, workers, children=0) == b""
+
+    def test_fewer_rows_than_workers(self, tmp_path, monkeypatch, workers):
+        vectors = {f"u{i}": [float(i), -0.5] for i in range(workers - 1)}
+        self.check(monkeypatch, tmp_path, vectors, workers, children=workers - 2)
+
+    def test_child_that_dies_halfway_through_its_payload(self, tmp_path, monkeypatch, workers):
+        def dying(out, rows, start, end):
+            payload = "".join(dio._embedding_lines(rows, start, end)).encode()
+            out.write(dio._LENGTH.pack(len(payload)) + payload[:len(payload) // 2])
+            out.flush()
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(dio, "_send_lines", dying)
+        self.check(monkeypatch, tmp_path, write_maps()["asv"], workers)
+
+    def test_child_that_fails_after_a_long_payload(self, tmp_path, monkeypatch, workers):
+        # the whole of a wrong, longer payload is copied before the child's
+        # status is known, so the file must be cut back, not just overwritten
+        def failing(out, rows, start, end):
+            payload = "".join(dio._embedding_lines(rows, start, end)).encode() * 2
+            out.write(dio._LENGTH.pack(len(payload)) + payload)
+            out.flush()
+            raise RuntimeError("fails after its payload")
+        monkeypatch.setattr(dio, "_send_lines", failing)
+        self.check(monkeypatch, tmp_path, write_maps()["cm"], workers)
+
+    @pytest.mark.parametrize("failing_fork", [0, 1])
+    def test_fork_that_fails(self, tmp_path, monkeypatch, workers, failing_fork):
+        fork, calls = os.fork, []
+
+        def flaky():
+            calls.append(None)
+            if len(calls) > failing_fork:
+                raise OSError("fork failed")
+            return fork()
+        monkeypatch.setattr(os, "fork", flaky)
+        self.check(monkeypatch, tmp_path, write_maps()["asv"], workers,
+                   children=min(failing_fork, workers - 1))
+
+    @pytest.mark.parametrize("child_delay", [0, 60])
+    def test_interrupt_in_the_parent_kills_its_children(self, tmp_path, monkeypatch, workers,
+                                                        child_delay):
+        # each child's payload fills more than a pipe's buffer, so a child
+        # blocks in write until its pipe is closed; a child still formatting
+        # must be killed, or waiting for it takes as long as its formatting
+        rng = np.random.default_rng(0)
+        vectors = {f"u{i}": rng.standard_normal(192) for i in range(300)}
+        lines, parent = dio._embedding_lines, os.getpid()
+
+        def interrupted(rows, start, end):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(child_delay)
+            return lines(rows, start, end)
+
+        def hung(signum, frame):
+            raise AssertionError("save_embeddings hung")
+        monkeypatch.setattr(dio, "_embedding_lines", interrupted)
+        monkeypatch.setattr(dio, "_workers_for", lambda n_bytes: workers)
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(30)
+        try:
+            t0 = time.monotonic()
+            with pytest.raises(KeyboardInterrupt):
+                dio.save_embeddings(vectors, tmp_path / "e.txt")
+            assert time.monotonic() - t0 < 10
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
 
 
 class TestManifestIO:

@@ -150,6 +150,31 @@ def test_forward_passes_respect_both_limits(setup, monkeypatch):
             assert len(sets) == 1 or sum(len(ids) for _, ids in sets) <= rows
 
 
+def test_unshared_sets_are_split_by_the_cell_limit(setup):
+    # 1,024 trials, each with a set (claimed speaker, one entry) and a test
+    # utterance of its own, fit the trial and row limits in one pass, but
+    # its test rows x sets product (1,024 x 1,024) is over SCORE_CELLS
+    ds = dio.generate_synthetic(dio.SynthConfig(
+        train_speakers=2, dev_speakers=2, eval_speakers=40, bonafide_per_speaker=12,
+        spoof_per_speaker=12, d_a=10, d_c=6, seed=4,
+    ))
+    _, params = setup
+    ids = sorted(ds.asv_embeddings)
+    assert len(ids) >= 1024
+    trials = [dio.Trial(f"spk{j}", (ids[j],), ids[-1 - j], "target") for j in range(1024)]
+    chunks = list(scoring._chunks(trials))
+    assert sorted(i for c in chunks for i in c) == list(range(len(trials)))
+    assert len(chunks) > 1
+    for c in chunks:
+        tests = {trials[i].test_id for i in c}
+        sets = {(trials[i].claimed_speaker, trials[i].enroll_ids) for i in c}
+        assert len(tests) * len(sets) <= scoring.SCORE_CELLS
+    records = score_trials(params, trials, ds.asv_embeddings, ds.cm_embeddings)
+    want = [_single_trial_scores(params, t, ds.asv_embeddings, ds.cm_embeddings,
+                                 "attention")["fused"] for t in trials]
+    np.testing.assert_allclose([r.score for r in records], want, rtol=1e-12, atol=0)
+
+
 def test_unknown_scorer_rejected(setup):
     ds, params = setup
     with pytest.raises(ValueError, match="scorer"):
