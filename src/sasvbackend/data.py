@@ -430,9 +430,9 @@ _LENGTH = struct.Struct("<q")  # bytes of a write worker's payload
 
 
 def _send_lines(out, rows, start: int, end: int) -> None:
-    """A write worker's payload: the lines of rows [start, end), built
-    whole so that the worker formats them while the caller formats its own
-    range, after their length."""
+    """A write worker's part: the length, then the bytes, of the lines of
+    rows [start, end). They are built whole: a worker that streamed them
+    would block on the pipe until the caller had formatted its own range."""
     payload = "".join(_embedding_lines(rows, start, end)).encode("utf-8")
     out.write(_LENGTH.pack(len(payload)))
     out.write(payload)
