@@ -93,9 +93,9 @@ def score_trials(params: BackendParams, trials: TrialList, asv_map, cm_map,
 
     Trials are scored in forward passes of one enrollment set size, at
     most SCORE_CHUNK trials, SCORE_POOL_ROWS enrollment rows and
-    SCORE_CELLS distinct test rows x distinct sets. A
-    trial's score matches scoring it on its own to round-off (about 1e-16
-    relative), not to the last bit.
+    SCORE_CELLS distinct test rows x distinct sets. A trial's score
+    matches scoring it on its own to round-off (about 1e-16 relative), not
+    to the last bit.
     """
     if scorer not in SCORERS:
         raise ValueError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
